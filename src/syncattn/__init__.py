@@ -21,8 +21,8 @@ from .core import (
     write_golden,
 )
 from .flow import FlowState, euler_sample, fm_loss, interpolate, velocity_target
-from .kernel import TileConfig, flash_forward, flash_varlen_forward, set_num_threads
-from .merge import logaddexp, merge_many, merge_partials
+from .kernel import TileConfig, flash_forward, flash_varlen_forward
+from .merge import merge_many, merge_partials
 from .reference import finite_diff_check, naive_attention, naive_backward
 from .rope import FreqSchedule, apply_rope, assign_coords, diagonal_1d_equivalence
 from .topology import (
@@ -59,7 +59,6 @@ __all__ = [
     "flash_varlen_forward",
     "fm_loss",
     "interpolate",
-    "logaddexp",
     "mask_to_text",
     "masked3d_forward",
     "merge_many",
@@ -71,7 +70,6 @@ __all__ = [
     "seeded_projection_set",
     "seeded_random_tensor",
     "segment_offsets",
-    "set_num_threads",
     "velocity_target",
     "write_golden",
 ]

@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .bench import BenchCase, BenchRecord, run_case
 from .core import PRECISIONS, TokenLayout, seeded_random_tensor
 from .golden_suites import SUITES, check_suite, generate_suite
-from .kernel import TileConfig, set_num_threads
+from .kernel import TileConfig
 from .reference import naive_attention
 from .topology import InjectionConfig, build_mask, masked3d_forward
 
@@ -44,7 +44,6 @@ def _add_layout_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q-block", type=int, default=64)
     p.add_argument("--k-block", type=int, default=64)
-    p.add_argument("--threads", type=int, default=1, help="cap on kernel worker threads")
 
 
 def _layout_from_args(args) -> TokenLayout:
@@ -77,7 +76,6 @@ def cmd_validate(args) -> int:
         case = _case_from_args(args)
     except ValueError as exc:
         return _usage_error(str(exc))
-    set_num_threads(args.threads)
 
     dims = (case.batch, case.heads, case.layout.total_len, case.head_dim)
     q = seeded_random_tensor(dims, case.seed, case.precision)
@@ -119,7 +117,6 @@ def cmd_bench(args) -> int:
         case = _case_from_args(args, repeats=args.repeats)
     except ValueError as exc:
         return _usage_error(str(exc))
-    set_num_threads(args.threads)
 
     impls = list(bench_mod.IMPLS) if args.impl == "both" else [args.impl]
     records = [run_case(case, impl, validate=args.validate) for impl in impls]
@@ -133,7 +130,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_golden(args) -> int:
-    set_num_threads(args.threads)
     if args.action == "generate":
         paths = generate_suite(args.suite, args.path)
         print(f"wrote {len(paths)} golden files under {args.path}/{args.suite}")
@@ -170,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gold.add_argument("action", choices=("generate", "check"))
     p_gold.add_argument("--path", required=True, help="directory holding the suites")
     p_gold.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_gold.add_argument("--threads", type=int, default=1)
     p_gold.set_defaults(func=cmd_golden)
 
     return parser

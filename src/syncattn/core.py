@@ -28,6 +28,7 @@ __all__ = [
     "TokenLayout",
     "check_attn_tensor",
     "check_cu_seqlens",
+    "check_qkv",
     "per_frame_cu_seqlens",
     "precision_name",
     "read_golden",
@@ -127,6 +128,32 @@ def check_attn_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     if x.dtype not in (np.float32, np.float64):
         raise ValueError(f"{name} must be float32 or float64, got {x.dtype}")
     return np.ascontiguousarray(x)
+
+
+def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one attention call's q, k, v and return them contiguous.
+
+    All three are (batch, heads, seq, head_dim) tensors of one precision;
+    q and k share batch, heads and head_dim, and k and v share a shape.
+    Every value must be finite: a NaN or inf would silently poison every
+    query row that can see it, so the first bad (batch, head, row, col)
+    is reported instead.
+    """
+    q = check_attn_tensor(q, "q")
+    k = check_attn_tensor(k, "k")
+    v = check_attn_tensor(v, "v")
+    if not (q.dtype == k.dtype == v.dtype):
+        raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype} v={v.dtype}")
+    if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
+        raise ValueError(f"q {q.shape} and k {k.shape} must share (batch, heads, head_dim)")
+    if k.shape != v.shape:
+        raise ValueError(f"k {k.shape} and v {v.shape} must match")
+    for name, x in (("q", q), ("k", k), ("v", v)):
+        finite = np.isfinite(x)
+        if not finite.all():
+            where = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ValueError(f"{name} has a non-finite value {x[where]} at (batch, head, row, col) {where}")
+    return q, k, v
 
 
 class AttnPartial(NamedTuple):

@@ -16,46 +16,26 @@ and does not grow with the key length.  All tile arithmetic runs in
 float64 and results are cast to the input precision at the end, which
 keeps different tile shapes within a couple of ulps of each other.
 
-Work units are (batch, head, query-block) triples; the key loop inside a
-unit is sequential, so results are bit-identical regardless of how many
-worker threads execute the units.
+Work units are (batch, head, group) triples, run one after another; the
+key loop inside a unit is sequential, so every reduction order is fixed
+and results are bit-identical from run to run.  The dense call is the
+single-group case of the varlen call.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttnPartial, check_attn_tensor, check_cu_seqlens
+from .core import AttnPartial, check_cu_seqlens, check_qkv
 
-__all__ = [
-    "TileConfig",
-    "flash_forward",
-    "flash_varlen_forward",
-    "get_num_threads",
-    "set_num_threads",
-]
+__all__ = ["TileConfig", "flash_forward", "flash_varlen_forward"]
 
 # Default 64x64 tiles: a float64 score tile plus q/k/v tiles and
 # accumulators stay comfortably inside a typical L1/L2 footprint.
 _DEFAULT_Q_BLOCK = 64
 _DEFAULT_K_BLOCK = 64
-
-_num_threads = 1
-
-
-def set_num_threads(n: int) -> None:
-    """Cap the worker threads used to execute independent kernel units."""
-    global _num_threads
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    _num_threads = int(n)
-
-
-def get_num_threads() -> int:
-    return _num_threads
 
 
 @dataclass(frozen=True)
@@ -91,55 +71,16 @@ def _flash_unit(q_blk, k2, v2, k_block: int):
     return acc / l[:, None], m + np.log(l)
 
 
-def _run_units(units, fn) -> None:
-    if _num_threads > 1 and len(units) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=_num_threads) as pool:
-            list(pool.map(fn, units))
-    else:
-        for unit in units:
-            fn(unit)
-
-
 def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
     """Streaming attention over a dense equal-length batch, with LSE.
 
     Mathematically equal to unmasked naive attention; masking is achieved
     upstream by restricting the key set handed to this kernel.  A zero-key
     input returns the empty partial (zero output, lse = -inf everywhere).
+    This is :func:`flash_varlen_forward` with one group spanning all rows.
     """
-    q = check_attn_tensor(q, "q")
-    k = check_attn_tensor(k, "k")
-    v = check_attn_tensor(v, "v")
-    if not (q.dtype == k.dtype == v.dtype):
-        raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype} v={v.dtype}")
-    if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
-        raise ValueError(f"q {q.shape} and k {k.shape} must share (batch, heads, head_dim)")
-    if k.shape != v.shape:
-        raise ValueError(f"k {k.shape} and v {v.shape} must match")
-
-    b, h, s_q, d = q.shape
-    s_k = k.shape[2]
-    out = np.zeros((b, h, s_q, d), dtype=q.dtype)
-    lse = np.full((b, h, s_q), -np.inf, dtype=q.dtype)
-    if s_k == 0 or s_q == 0:
-        return AttnPartial(out, lse)
-
-    units = [
-        (bi, hi, i0)
-        for bi in range(b)
-        for hi in range(h)
-        for i0 in range(0, s_q, tile.q_block)
-    ]
-
-    def run(unit) -> None:
-        bi, hi, i0 = unit
-        i1 = min(i0 + tile.q_block, s_q)
-        o64, l64 = _flash_unit(q[bi, hi, i0:i1], k[bi, hi], v[bi, hi], tile.k_block)
-        out[bi, hi, i0:i1] = o64
-        lse[bi, hi, i0:i1] = l64
-
-    _run_units(units, run)
-    return AttnPartial(out, lse)
+    q, k, v = check_qkv(q, k, v)
+    return flash_varlen_forward(q, k, v, [0, q.shape[2]], [0, k.shape[2]], tile)
 
 
 def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -> AttnPartial:
@@ -151,15 +92,7 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -
     independently per group and concatenating in query order.  Queries of
     a zero-key group get zero output and lse = -inf.
     """
-    q = check_attn_tensor(q, "q")
-    k = check_attn_tensor(k, "k")
-    v = check_attn_tensor(v, "v")
-    if not (q.dtype == k.dtype == v.dtype):
-        raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype} v={v.dtype}")
-    if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
-        raise ValueError(f"q {q.shape} and k {k.shape} must share (batch, heads, head_dim)")
-    if k.shape != v.shape:
-        raise ValueError(f"k {k.shape} and v {v.shape} must match")
+    q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
     cu_k = check_cu_seqlens(cu_k, k.shape[2], "cu_k")
     if cu_q.size != cu_k.size:
@@ -174,17 +107,14 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -
         for g in range(cu_q.size - 1)
         if cu_q[g + 1] > cu_q[g] and cu_k[g + 1] > cu_k[g]
     ]
-    units = [(bi, hi, grp) for bi in range(b) for hi in range(h) for grp in groups]
-
-    def run(unit) -> None:
-        bi, hi, (q0, q1, k0, k1) = unit
-        k_grp = k[bi, hi, k0:k1]
-        v_grp = v[bi, hi, k0:k1]
-        for i0 in range(q0, q1, tile.q_block):
-            i1 = min(i0 + tile.q_block, q1)
-            o64, l64 = _flash_unit(q[bi, hi, i0:i1], k_grp, v_grp, tile.k_block)
-            out[bi, hi, i0:i1] = o64
-            lse[bi, hi, i0:i1] = l64
-
-    _run_units(units, run)
+    for bi in range(b):
+        for hi in range(h):
+            for q0, q1, k0, k1 in groups:
+                k_grp = k[bi, hi, k0:k1]
+                v_grp = v[bi, hi, k0:k1]
+                for i0 in range(q0, q1, tile.q_block):
+                    i1 = min(i0 + tile.q_block, q1)
+                    o64, l64 = _flash_unit(q[bi, hi, i0:i1], k_grp, v_grp, tile.k_block)
+                    out[bi, hi, i0:i1] = o64
+                    lse[bi, hi, i0:i1] = l64
     return AttnPartial(out, lse)

@@ -22,16 +22,7 @@ import numpy as np
 
 from .core import AttnPartial
 
-__all__ = ["logaddexp", "merge_many", "merge_partials"]
-
-
-def logaddexp(a, b):
-    """Elementwise log(exp(a) + exp(b)), safe at -inf.
-
-    Evaluated as ``max(a, b) + log1p(exp(-|a - b|))``, so
-    ``logaddexp(-inf, x) == x`` and ``logaddexp(-inf, -inf) == -inf``.
-    """
-    return np.logaddexp(a, b)
+__all__ = ["merge_many", "merge_partials"]
 
 
 def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttnPartial, check_attn_tensor, seeded_random_tensor
+from .core import AttnPartial, check_attn_tensor, check_qkv, seeded_random_tensor
 
 __all__ = ["GradCheckReport", "finite_diff_check", "naive_attention", "naive_backward"]
 
@@ -31,19 +31,6 @@ def _as_allow(mask, s_q: int, s_k: int) -> np.ndarray | None:
             f"mask must be a boolean ({s_q}, {s_k}) matrix, got {allow.dtype} {allow.shape}"
         )
     return allow
-
-
-def _validate_qkv(q, k, v):
-    q = check_attn_tensor(q, "q")
-    k = check_attn_tensor(k, "k")
-    v = check_attn_tensor(v, "v")
-    if not (q.dtype == k.dtype == v.dtype):
-        raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype} v={v.dtype}")
-    if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
-        raise ValueError(f"q {q.shape} and k {k.shape} must share (batch, heads, head_dim)")
-    if k.shape != v.shape:
-        raise ValueError(f"k {k.shape} and v {v.shape} must match")
-    return q, k, v
 
 
 def _masked_probabilities(q2, k2, allow):
@@ -84,7 +71,7 @@ def naive_attention(q, k, v, mask=None) -> AttnPartial:
     Rows whose keys are all masked (or S_k == 0) return an exactly-zero
     output row and ``lse = -inf``.
     """
-    q, k, v = _validate_qkv(q, k, v)
+    q, k, v = check_qkv(q, k, v)
     b, h, s_q, d = q.shape
     s_k = k.shape[2]
     allow = _as_allow(mask, s_q, s_k)
@@ -111,7 +98,7 @@ def naive_backward(q, k, v, dout, mask=None):
 
     Masked entries have P = 0 and therefore contribute nothing.
     """
-    q, k, v = _validate_qkv(q, k, v)
+    q, k, v = check_qkv(q, k, v)
     dout = check_attn_tensor(dout, "dout")
     if dout.shape != q.shape:
         raise ValueError(f"dout {dout.shape} must match the output shape {q.shape}")
@@ -170,7 +157,7 @@ def finite_diff_check(q, k, v, mask=None, seed: int = 0, step: float = 1e-5, tol
     float64 and carry at most 4096 elements in total (each element costs
     two full forward passes).
     """
-    q, k, v = _validate_qkv(q, k, v)
+    q, k, v = check_qkv(q, k, v)
     if q.dtype != np.float64:
         raise ValueError("finite_diff_check requires float64 inputs")
     total = q.size + k.size + v.size

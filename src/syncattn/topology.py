@@ -31,8 +31,9 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    AttnPartial,
     TokenLayout,
-    check_attn_tensor,
+    check_qkv,
     per_frame_cu_seqlens,
     seeded_random_tensor,
     segment_offsets,
@@ -121,21 +122,20 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
     Inputs are packed in the fixed segment order of ``layout`` and the
     sequence axis must equal ``layout.total_len``.  The computation:
 
-    1. video queries: dense attention over video+others keys, merged with
-       block-diagonal per-frame attention over audio keys;
-    2. others queries: dense attention over video+others keys only;
+    1. video and others queries, which are contiguous: one dense call
+       over the video+others keys;
+    2. video queries: that call's rows merged with block-diagonal
+       per-frame attention over audio keys;
     3. audio queries: per-frame attention over video keys merged with
        per-frame attention over audio keys;
-    4. outputs concatenated back in segment order.
+    4. audio rows concatenated after the video and others rows.
 
     Equals naive attention under the MASKED_3D permission matrix.  When
     the layout carries no audio, the audio branches are skipped and the
     result is plain streaming attention over video+others.
     """
-    q = check_attn_tensor(q, "q")
-    k = check_attn_tensor(k, "k")
-    v = check_attn_tensor(v, "v")
-    if q.shape != k.shape or k.shape != v.shape:
+    q, k, v = check_qkv(q, k, v)
+    if q.shape != k.shape:
         raise ValueError(f"q/k/v must share one shape, got {q.shape} {k.shape} {v.shape}")
     if q.shape[2] != layout.total_len:
         raise ValueError(f"packed length {q.shape[2]} != layout total_len {layout.total_len}")
@@ -144,42 +144,29 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
     f = layout.frames
     n, l = layout.video_per_frame, layout.audio_per_frame
     vo = slice(video.start, others.stop)  # video block followed by others block
+    vid = slice(video.start, video.stop)
     a = slice(audio.start, audio.stop)
 
-    k_vo, v_vo = k[:, :, vo], v[:, :, vo]
-    outputs = []
+    dense = flash_forward(q[:, :, vo], k[:, :, vo], v[:, :, vo], tile)
+    if layout.audio_len == 0:
+        return dense.out
 
-    if layout.video_len > 0:
-        q_video = q[:, :, video.start : video.stop]
-        part_vo = flash_forward(q_video, k_vo, v_vo, tile)
-        if layout.audio_len > 0:
-            part_va = flash_varlen_forward(
-                q_video, k[:, :, a], v[:, :, a],
-                per_frame_cu_seqlens(n, f), per_frame_cu_seqlens(l, f), tile,
-            )
-            outputs.append(merge_partials(part_vo, part_va).out)
-        else:
-            outputs.append(part_vo.out)
+    out = dense.out
+    part_va = flash_varlen_forward(
+        q[:, :, vid], k[:, :, a], v[:, :, a],
+        per_frame_cu_seqlens(n, f), per_frame_cu_seqlens(l, f), tile,
+    )
+    out[:, :, vid] = merge_partials(AttnPartial(out[:, :, vid], dense.lse[:, :, vid]), part_va).out
 
-    if layout.others_len > 0:
-        q_others = q[:, :, others.start : others.stop]
-        outputs.append(flash_forward(q_others, k_vo, v_vo, tile).out)
-
-    if layout.audio_len > 0:
-        q_audio = q[:, :, a]
-        part_av = flash_varlen_forward(
-            q_audio, k[:, :, video.start : video.stop], v[:, :, video.start : video.stop],
-            per_frame_cu_seqlens(l, f), per_frame_cu_seqlens(n, f), tile,
-        )
-        part_aa = flash_varlen_forward(
-            q_audio, k[:, :, a], v[:, :, a],
-            per_frame_cu_seqlens(l, f), per_frame_cu_seqlens(l, f), tile,
-        )
-        outputs.append(merge_partials(part_av, part_aa).out)
-
-    if not outputs:
-        return np.zeros_like(q)
-    return np.concatenate(outputs, axis=2)
+    part_av = flash_varlen_forward(
+        q[:, :, a], k[:, :, vid], v[:, :, vid],
+        per_frame_cu_seqlens(l, f), per_frame_cu_seqlens(n, f), tile,
+    )
+    part_aa = flash_varlen_forward(
+        q[:, :, a], k[:, :, a], v[:, :, a],
+        per_frame_cu_seqlens(l, f), per_frame_cu_seqlens(l, f), tile,
+    )
+    return np.concatenate([out, merge_partials(part_av, part_aa).out], axis=2)
 
 
 @dataclass(frozen=True)

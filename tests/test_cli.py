@@ -136,13 +136,3 @@ class TestMainEntry:
         code = main(["validate", "--frames", "2", "--video-tokens", "4", "--audio-tokens", "2"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
-
-    def test_threads_flag_accepted(self, capsys):
-        code = main(
-            ["validate", "--frames", "2", "--video-tokens", "4", "--audio-tokens", "2",
-             "--threads", "2"]
-        )
-        assert code == 0
-        import syncattn.kernel as kernel
-
-        kernel.set_num_threads(1)

@@ -1,17 +1,11 @@
-"""Streaming kernel vs the oracle: values, LSE, varlen grouping, memory, determinism."""
+"""Streaming kernel vs the oracle: values, LSE, varlen grouping, memory."""
 
 import numpy as np
 import pytest
 
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import per_frame_cu_seqlens, seeded_random_tensor
-from syncattn.kernel import (
-    TileConfig,
-    flash_forward,
-    flash_varlen_forward,
-    get_num_threads,
-    set_num_threads,
-)
+from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
 from syncattn.reference import naive_attention
 
 
@@ -102,18 +96,6 @@ class TestFlashForward:
         small, large = peak_for(256), peak_for(4096)
         assert large < 1.5 * small, (small, large)
 
-    def test_deterministic_across_thread_counts(self):
-        q, k, v = _qkv(19, (2, 2, 150, 16), (2, 2, 200, 16))
-        assert get_num_threads() == 1
-        base = flash_forward(q, k, v)
-        set_num_threads(4)
-        try:
-            threaded = flash_forward(q, k, v)
-        finally:
-            set_num_threads(1)
-        assert base.out.tobytes() == threaded.out.tobytes()
-        assert base.lse.tobytes() == threaded.lse.tobytes()
-
     def test_shape_errors(self):
         q = seeded_random_tensor((1, 1, 4, 8), 0)
         k = seeded_random_tensor((1, 2, 4, 8), 1)
@@ -121,6 +103,8 @@ class TestFlashForward:
             flash_forward(q, k, k)
         with pytest.raises(ValueError):
             flash_forward(q, q.astype(np.float64), q)
+        with pytest.raises(ValueError, match="4 axes"):
+            flash_forward(q[0], q[0], q[0])
         with pytest.raises(ValueError):
             TileConfig(0, 64)
 

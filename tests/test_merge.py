@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from syncattn.core import AttnPartial, seeded_random_tensor
-from syncattn.merge import logaddexp, merge_many, merge_partials
+from syncattn.merge import merge_many, merge_partials
 from syncattn.reference import naive_attention
 
 NEG_INF = -np.inf
@@ -19,24 +19,6 @@ def _qkv(seed, bq, bk, dtype=np.float64):
 
 def _split_partials(q, k, v, bounds):
     return [naive_attention(q, k[:, :, a:b], v[:, :, a:b]) for a, b in bounds]
-
-
-class TestLogaddexp:
-    def test_identical_arguments(self):
-        assert logaddexp(0.0, 0.0) == pytest.approx(np.log(2.0), abs=1e-15)
-
-    def test_neg_inf_identity(self):
-        assert logaddexp(NEG_INF, 3.5) == 3.5
-        assert logaddexp(3.5, NEG_INF) == 3.5
-        assert np.isneginf(logaddexp(NEG_INF, NEG_INF))
-
-    def test_shift_property(self):
-        assert logaddexp(5.0, 5.0) == pytest.approx(5.0 + np.log(2.0), abs=1e-15)
-
-    def test_elementwise_on_arrays(self):
-        a = np.array([0.0, NEG_INF, 2.0])
-        b = np.array([0.0, 1.0, NEG_INF])
-        np.testing.assert_allclose(logaddexp(a, b), [np.log(2.0), 1.0, 2.0], atol=1e-15)
 
 
 class TestMergePartials:

@@ -9,7 +9,7 @@ from syncattn.core import (
     seeded_random_tensor,
     segment_offsets,
 )
-from syncattn.kernel import TileConfig, flash_forward
+from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
 from syncattn.reference import naive_attention
 from syncattn.topology import (
     InjectionConfig,
@@ -133,11 +133,21 @@ class TestMasked3dForward:
         assert np.max(np.abs(got - ref.out)) <= 1e-5
 
     def test_matches_oracle_f64_odd_tiles(self):
-        layout = TokenLayout(frames=5, video_per_frame=7, audio_per_frame=3, others_len=11)
-        q, k, v = _qkv(layout, 40, heads=1, head_dim=16, dtype=np.float64)
-        got = masked3d_forward(q, k, v, layout, TileConfig(16, 16))
-        ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D))
-        assert np.max(np.abs(got - ref.out)) <= 1e-12
+        # The dense call runs the video and others rows as one block range,
+        # so the first three cases put a query block across the
+        # video/others boundary; the last three drop a segment each.
+        cases = [
+            (TokenLayout(frames=5, video_per_frame=7, audio_per_frame=3, others_len=11), TileConfig(16, 16)),
+            (TokenLayout(frames=3, video_per_frame=5, audio_per_frame=2, others_len=7), TileConfig(4, 3)),
+            (TokenLayout(frames=1, video_per_frame=3, audio_per_frame=0, others_len=5), TileConfig()),
+            (TokenLayout(frames=2, video_per_frame=4, audio_per_frame=2, others_len=0), TileConfig(3, 5)),
+            (TokenLayout(frames=4, video_per_frame=0, audio_per_frame=3, others_len=0), TileConfig()),
+        ]
+        for layout, tile in cases:
+            q, k, v = _qkv(layout, 40, heads=1, head_dim=16, dtype=np.float64)
+            got = masked3d_forward(q, k, v, layout, tile)
+            ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D))
+            assert np.max(np.abs(got - ref.out)) <= 1e-12, (layout, tile)
 
     def test_no_video_at_all(self):
         layout = TokenLayout(frames=2, video_per_frame=0, audio_per_frame=3, others_len=4)
@@ -220,6 +230,28 @@ class TestMasked3dForward:
             )
             for f in other_frames
         )
+
+
+class TestNonFiniteInput:
+    """One NaN or inf key is rejected by every entry point, naming where it is."""
+
+    LAYOUT = TokenLayout(frames=4, video_per_frame=16, audio_per_frame=4, others_len=32)
+    ENTRIES = {
+        "masked3d_forward": lambda q, k, v: masked3d_forward(q, k, v, TestNonFiniteInput.LAYOUT),
+        "flash_varlen_forward": lambda q, k, v: flash_varlen_forward(
+            q, k, v, [0, q.shape[2]], [0, k.shape[2]]
+        ),
+        "naive_attention": naive_attention,
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_non_finite_key_rejected(self, entry, bad):
+        q, k, v = _qkv(self.LAYOUT, 70, heads=2, head_dim=16)
+        k[0, 1, 70, 5] = bad  # an others key, seen by every video and others query
+        with pytest.raises(ValueError, match=r"k has a non-finite value .* \(0, 1, 70, 5\)"):
+            self.ENTRIES[entry](q, k, v)
 
 
 class TestConfigLayerForward:
