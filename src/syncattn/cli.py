@@ -59,6 +59,10 @@ def _layout_from_args(args) -> TokenLayout:
 
 
 def _case_from_args(args, repeats: int = 3) -> BenchCase:
+    for flag, value, least in (("--batch", args.batch, 0), ("--heads", args.heads, 0),
+                               ("--head-dim", args.head_dim, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     return BenchCase(
         layout=_layout_from_args(args),
         batch=args.batch,

@@ -127,14 +127,14 @@ def check_attn_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
         raise ValueError(f"{name} must have 4 axes (batch, heads, seq, head_dim), got {x.ndim}")
     if x.dtype not in (np.float32, np.float64):
         raise ValueError(f"{name} must be float32 or float64, got {x.dtype}")
-    return np.ascontiguousarray(x)
+    return x
 
 
 def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate one attention call's q, k, v and return them contiguous.
+    """Validate one attention call's q, k, v; views are returned uncopied.
 
     All three are (batch, heads, seq, head_dim) tensors of one precision;
-    q and k share batch, heads and head_dim, and k and v share a shape.
+    q and k share batch, heads and head_dim >= 1, and k and v share a shape.
     Every value must be finite: a NaN or inf would silently poison every
     query row that can see it, so the first bad (batch, head, row, col)
     is reported instead.
@@ -146,6 +146,8 @@ def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype} v={v.dtype}")
     if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
         raise ValueError(f"q {q.shape} and k {k.shape} must share (batch, heads, head_dim)")
+    if q.shape[3] < 1:
+        raise ValueError(f"head_dim must be >= 1, got {q.shape[3]}")
     if k.shape != v.shape:
         raise ValueError(f"k {k.shape} and v {v.shape} must match")
     for name, x in (("q", q), ("k", k), ("v", v)):

@@ -13,10 +13,10 @@ query-segment x key-segment pair:
     others -> audio    blocked
     audio  -> others   blocked
 
-``masked3d_forward`` realizes this pattern without ever materializing the
-mask: the sparse problem is decomposed into dense and block-diagonal
-sub-attentions computed by the streaming kernel, whose partial results
-are recombined exactly through their LogSumExp statistics.
+``block_plan`` states this rule once, as blocks of query rows and per-group
+key columns.  ``build_mask`` materializes it; ``masked3d_forward`` never
+does: it runs the streaming kernel once per block and recombines the
+partial results exactly through their LogSumExp statistics.
 
 The three flat 2D wirings (cross-attention, self-attention with frozen
 audio, self-attention) are executed structurally per frame instead of via
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +39,16 @@ from .core import (
     seeded_random_tensor,
     segment_offsets,
 )
-from .kernel import TileConfig, flash_forward, flash_varlen_forward
+# Unused flash_forward stays: benchmark/spans.py wraps that name in this module.
+from .kernel import TileConfig, flash_forward, flash_varlen_forward  # noqa: F401
 from .merge import merge_partials
 
 __all__ = [
+    "Block",
     "InjectionConfig",
     "MaskSpec",
     "ProjectionSet",
+    "block_plan",
     "build_mask",
     "config_layer_forward",
     "mask_to_text",
@@ -75,39 +79,52 @@ class MaskSpec:
     allow: np.ndarray  # (total_len, total_len) bool
 
 
-def _frame_index(layout: TokenLayout) -> np.ndarray:
-    """Per-token frame index in packed order; others tokens get -1."""
-    frame = np.full(layout.total_len, -1, dtype=np.int64)
-    video, _, audio = segment_offsets(layout)
-    if layout.video_per_frame > 0:
-        frame[video.start : video.stop] = (
-            np.arange(layout.video_len) // layout.video_per_frame
-        )
-    if layout.audio_per_frame > 0:
-        frame[audio.start : audio.stop] = (
-            np.arange(layout.audio_len) // layout.audio_per_frame
-        )
-    return frame
+class Block(NamedTuple):
+    """Query rows and key columns of a plan block, split into groups.
+
+    Group ``g`` lets ``rows[cu_q[g]:cu_q[g+1]]`` see ``cols[cu_k[g]:cu_k[g+1]]``.
+    """
+
+    rows: slice
+    cols: slice
+    cu_q: np.ndarray
+    cu_k: np.ndarray
+
+
+def block_plan(layout: TokenLayout, config: InjectionConfig) -> list[Block]:
+    """Blocks whose groups hold every allowed (query, key) pair exactly once.
+
+    FULL_3D is one dense block.  MASKED_3D is, in order: video+others ->
+    video+others dense, then per frame video -> audio, audio -> video and
+    audio -> audio.  Blocks with no rows or no columns are left out.
+    """
+    if config not in (InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D):
+        raise ValueError(f"block_plan only supports FULL_3D and MASKED_3D, got {config}")
+    if config is InjectionConfig.FULL_3D:
+        whole, dense = slice(0, layout.total_len), np.array([0, layout.total_len])
+        blocks = [Block(whole, whole, dense, dense)]
+    else:
+        video, others, audio = (slice(r.start, r.stop) for r in segment_offsets(layout))
+        vo, dense = slice(0, others.stop), np.array([0, others.stop])  # video then others
+        cu_n = per_frame_cu_seqlens(layout.video_per_frame, layout.frames)
+        cu_l = per_frame_cu_seqlens(layout.audio_per_frame, layout.frames)
+        blocks = [
+            Block(vo, vo, dense, dense),
+            Block(video, audio, cu_n, cu_l),
+            Block(audio, video, cu_l, cu_n),
+            Block(audio, audio, cu_l, cu_l),
+        ]
+    return [blk for blk in blocks if blk.cu_q[-1] > 0 and blk.cu_k[-1] > 0]
 
 
 def build_mask(layout: TokenLayout, config: InjectionConfig) -> MaskSpec:
-    """Permission matrix for the FULL_3D or MASKED_3D topology."""
-    if config not in (InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D):
-        raise ValueError(f"build_mask only supports FULL_3D and MASKED_3D, got {config}")
-    total = layout.total_len
-    if config is InjectionConfig.FULL_3D:
-        return MaskSpec(layout, np.ones((total, total), dtype=bool))
-
-    # A pair is restricted iff audio is involved on either side; then it is
-    # allowed only on an exact frame match.  Others tokens carry frame -1
-    # and audio frames are >= 0, so audio<->others never matches.
-    _, others, audio = segment_offsets(layout)
-    is_audio = np.zeros(total, dtype=bool)
-    is_audio[audio.start : audio.stop] = True
-    frame = _frame_index(layout)
-    same_frame = frame[:, None] == frame[None, :]
-    audio_involved = is_audio[:, None] | is_audio[None, :]
-    return MaskSpec(layout, same_frame | ~audio_involved)
+    """Permission matrix for the FULL_3D or MASKED_3D topology: its plan's groups."""
+    allow = np.zeros((layout.total_len, layout.total_len), dtype=bool)
+    for blk in block_plan(layout, config):
+        sub = allow[blk.rows, blk.cols]
+        for q0, q1, k0, k1 in zip(blk.cu_q[:-1], blk.cu_q[1:], blk.cu_k[:-1], blk.cu_k[1:]):
+            sub[q0:q1, k0:k1] = True
+    return MaskSpec(layout, allow)
 
 
 def mask_to_text(spec: MaskSpec) -> str:
@@ -120,19 +137,14 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
     """Frame-synchronized masked attention via decomposition and LSE merging.
 
     Inputs are packed in the fixed segment order of ``layout`` and the
-    sequence axis must equal ``layout.total_len``.  The computation:
-
-    1. video and others queries, which are contiguous: one dense call
-       over the video+others keys;
-    2. video queries: that call's rows merged with block-diagonal
-       per-frame attention over audio keys;
-    3. audio queries: per-frame attention over video keys merged with
-       per-frame attention over audio keys;
-    4. audio rows concatenated after the video and others rows.
-
-    Equals naive attention under the MASKED_3D permission matrix.  When
-    the layout carries no audio, the audio branches are skipped and the
-    result is plain streaming attention over video+others.
+    sequence axis must equal ``layout.total_len``.  The MASKED_3D
+    ``block_plan`` runs in order, one ``flash_varlen_forward`` call per
+    block over views of q, k and v.  A block writes the output and lse of
+    its rows, or merges through the lse into rows an earlier block wrote
+    (finite lse), which is exact as blocks hold disjoint keys.  The dense
+    video+others block writes, video->audio merges into its video rows,
+    audio->video writes the audio rows and audio->audio merges into them.
+    Equals naive attention under the MASKED_3D permission matrix.
     """
     q, k, v = check_qkv(q, k, v)
     if q.shape != k.shape:
@@ -140,33 +152,14 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
     if q.shape[2] != layout.total_len:
         raise ValueError(f"packed length {q.shape[2]} != layout total_len {layout.total_len}")
 
-    video, others, audio = segment_offsets(layout)
-    f = layout.frames
-    n, l = layout.video_per_frame, layout.audio_per_frame
-    vo = slice(video.start, others.stop)  # video block followed by others block
-    vid = slice(video.start, video.stop)
-    a = slice(audio.start, audio.stop)
-
-    dense = flash_forward(q[:, :, vo], k[:, :, vo], v[:, :, vo], tile)
-    if layout.audio_len == 0:
-        return dense.out
-
-    out = dense.out
-    part_va = flash_varlen_forward(
-        q[:, :, vid], k[:, :, a], v[:, :, a],
-        per_frame_cu_seqlens(n, f), per_frame_cu_seqlens(l, f), tile,
-    )
-    out[:, :, vid] = merge_partials(AttnPartial(out[:, :, vid], dense.lse[:, :, vid]), part_va).out
-
-    part_av = flash_varlen_forward(
-        q[:, :, a], k[:, :, vid], v[:, :, vid],
-        per_frame_cu_seqlens(l, f), per_frame_cu_seqlens(n, f), tile,
-    )
-    part_aa = flash_varlen_forward(
-        q[:, :, a], k[:, :, a], v[:, :, a],
-        per_frame_cu_seqlens(l, f), per_frame_cu_seqlens(l, f), tile,
-    )
-    return np.concatenate([out, merge_partials(part_av, part_aa).out], axis=2)
+    out, lse = np.zeros(q.shape, q.dtype), np.full(q.shape[:3], -np.inf, q.dtype)
+    for blk in block_plan(layout, InjectionConfig.MASKED_3D):
+        rows, cols = np.s_[:, :, blk.rows], np.s_[:, :, blk.cols]
+        part = flash_varlen_forward(q[rows], k[cols], v[cols], blk.cu_q, blk.cu_k, tile)
+        if np.isfinite(lse[rows]).any():  # an earlier block wrote these rows
+            part = merge_partials(AttnPartial(out[rows], lse[rows]), part)
+        out[rows], lse[rows] = part
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ CLI = [sys.executable, "-m", "syncattn"]
 # Fields whose values vary run to run; everything else must be reproducible.
 TIMING_FIELDS = {"wall_ms_median", "wall_ms_p10", "wall_ms_p90", "peak_bytes"}
 
+# Sizes that are not a tensor shape: a usage error (exit 2), not a tolerance breach.
+BAD_SIZES = [("--heads", "-1"), ("--head-dim", "-1"), ("--head-dim", "0"), ("--batch", "-1")]
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run([*CLI, *args], capture_output=True, text=True, **kwargs)
@@ -47,6 +50,11 @@ class TestValidate:
         proc = run_cli("validate", "--definitely-not-a-flag", "1")
         assert proc.returncode == 2
 
+    def test_bad_sizes_are_usage_errors(self, capsys):
+        for flag, value in BAD_SIZES:
+            assert main(["validate", flag, value]) == 2, flag
+            assert f"{flag} must be >=" in capsys.readouterr().err
+
 
 class TestBench:
     BENCH_ARGS = [
@@ -59,6 +67,11 @@ class TestBench:
         proc = run_cli("bench", "--repeats", "1")
         assert proc.returncode == 2
         assert "repeats" in proc.stderr
+
+    def test_bad_sizes_are_usage_errors(self, capsys):
+        for flag, value in BAD_SIZES:
+            assert main(["bench", flag, value]) == 2, flag
+            assert f"{flag} must be >=" in capsys.readouterr().err
 
     def test_jsonl_records(self):
         proc = run_cli(*self.BENCH_ARGS)

@@ -108,6 +108,16 @@ class TestFlashForward:
         with pytest.raises(ValueError):
             TileConfig(0, 64)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_head_dim_rejected(self):
+        q = np.zeros((1, 2, 3, 0), dtype=np.float32)
+        for call in (
+            lambda: flash_forward(q, q, q),
+            lambda: flash_varlen_forward(q, q, q, [0, 3], [0, 3]),
+        ):
+            with pytest.raises(ValueError, match="head_dim must be >= 1"):
+                call()
+
 
 class TestFlashVarlen:
     def test_single_group_equals_dense(self):
@@ -143,6 +153,21 @@ class TestFlashVarlen:
         assert np.all(out[0, 0, :2] == 0.0)
         assert np.all(np.isneginf(lse[0, 0, :2]))
         assert np.isfinite(lse[0, 0, 2:]).all()
+
+    def test_sequence_slices_are_read_in_place(self):
+        # Slices along the sequence axis of a multi-head tensor are not
+        # contiguous, but every (batch, head) row block of them is, so the
+        # kernel reads them where they are: a call allocates less than one
+        # of its key slices and matches the same call on contiguous copies.
+        q, k, v = _qkv(43, (1, 2, 4096, 32), (1, 2, 4096, 32))
+        qs, ks, vs = q[:, :, 5:69], k[:, :, 64:4064], v[:, :, 64:4064]
+        assert not ks.flags.c_contiguous
+        cu_q, cu_k = [0, 30, 64], [0, 1000, 4000]
+        got, peak = measure_peak_bytes(lambda: flash_varlen_forward(qs, ks, vs, cu_q, cu_k))
+        assert peak < ks.nbytes, (peak, ks.nbytes)
+        copied = flash_varlen_forward(*map(np.ascontiguousarray, (qs, ks, vs)), cu_q, cu_k)
+        assert got.out.tobytes() == copied.out.tobytes()
+        assert got.lse.tobytes() == copied.lse.tobytes()
 
     def test_boundary_validation(self):
         q, k, v = _qkv(41, (1, 1, 6, 8), (1, 1, 6, 8))

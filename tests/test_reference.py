@@ -114,6 +114,13 @@ class TestForward:
         with pytest.raises(ValueError):
             naive_attention(q, k, k, np.ones((3, 3), dtype=bool))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_head_dim_rejected(self):
+        # D = 0 would scale scores by 1/sqrt(0) and give NaN lse rows.
+        q = np.zeros((1, 1, 3, 0))
+        with pytest.raises(ValueError, match="head_dim must be >= 1"):
+            naive_attention(q, q, q)
+
 
 class TestBackward:
     def test_zero_dout_gives_zero_gradients(self):

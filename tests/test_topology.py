@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncattn.core import (
     TokenLayout,
@@ -13,6 +15,7 @@ from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
 from syncattn.reference import naive_attention
 from syncattn.topology import (
     InjectionConfig,
+    block_plan,
     build_mask,
     config_layer_forward,
     mask_to_text,
@@ -54,6 +57,49 @@ def _expected_allow(layout):
             else:
                 allow[i, j] = fi == fj
     return allow
+
+
+class TestBlockPlan:
+    LAYOUTS = [
+        TokenLayout(3, 2, 2, 1),
+        TokenLayout(2, 4, 0, 3),
+        TokenLayout(4, 0, 2, 2),
+        TokenLayout(2, 3, 1, 0),
+        TokenLayout(1, 3, 2, 2),  # F = 1
+        TokenLayout(3, 0, 2, 1),  # N = 0
+        TokenLayout(3, 2, 0, 1),  # L = 0
+        TokenLayout(3, 2, 2, 0),  # others = 0
+        TokenLayout(3, 0, 2, 0),  # audio only
+    ]
+
+    @staticmethod
+    def _hits(layout, config):
+        """How many plan groups hold each (query, key) pair."""
+        hits = np.zeros((layout.total_len, layout.total_len), dtype=np.int64)
+        for blk in block_plan(layout, config):
+            for g in range(len(blk.cu_q) - 1):
+                rows = range(blk.rows.start + blk.cu_q[g], blk.rows.start + blk.cu_q[g + 1])
+                cols = range(blk.cols.start + blk.cu_k[g], blk.cols.start + blk.cu_k[g + 1])
+                hits[np.ix_(rows, cols)] += 1
+        return hits
+
+    def test_masked3d_covers_each_allowed_pair_exactly_once(self):
+        for layout in self.LAYOUTS:
+            hits = self._hits(layout, InjectionConfig.MASKED_3D)
+            np.testing.assert_array_equal(hits, _expected_allow(layout).astype(np.int64), err_msg=str(layout))
+
+    def test_full3d_is_one_dense_block(self):
+        for layout in self.LAYOUTS:
+            (blk,) = block_plan(layout, InjectionConfig.FULL_3D)
+            whole = slice(0, layout.total_len)
+            assert (blk.rows, blk.cols) == (whole, whole)
+            assert list(blk.cu_q) == list(blk.cu_k) == [0, layout.total_len]
+
+    def test_masked3d_blocks_in_plan_order(self):
+        layout = TokenLayout(3, 2, 2, 1)
+        vo, video, audio = slice(0, 7), slice(0, 6), slice(7, 13)
+        plan = block_plan(layout, InjectionConfig.MASKED_3D)
+        assert [(b.rows, b.cols) for b in plan] == [(vo, vo), (video, audio), (audio, video), (audio, audio)]
 
 
 class TestBuildMask:
@@ -101,8 +147,9 @@ class TestBuildMask:
             InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO,
             InjectionConfig.SELF_ATTN_2D,
         ):
-            with pytest.raises(ValueError):
-                build_mask(layout, config)
+            for fn in (build_mask, block_plan):
+                with pytest.raises(ValueError):
+                    fn(layout, config)
 
     def test_text_bitmap(self):
         layout = TokenLayout(frames=2, video_per_frame=1, audio_per_frame=1, others_len=0)
@@ -155,6 +202,27 @@ class TestMasked3dForward:
         got = masked3d_forward(q, k, v, layout)
         ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D))
         assert np.max(np.abs(got - ref.out)) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        frames=st.integers(1, 4),
+        video=st.integers(0, 4),
+        audio=st.integers(0, 3),
+        others=st.integers(0, 5),
+        heads=st.integers(1, 2),
+        head_dim=st.integers(1, 6),
+        q_block=st.integers(1, 7),
+        k_block=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_oracle_on_random_layouts(self, frames, video, audio, others, heads, head_dim,
+                                              q_block, k_block, seed):
+        layout = TokenLayout(frames, video, audio, others)
+        q, k, v = _qkv(layout, seed, heads=heads, head_dim=head_dim, dtype=np.float64)
+        got = masked3d_forward(q, k, v, layout, TileConfig(q_block, k_block))
+        ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D)).out
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
 
     def test_packed_length_mismatch_rejected(self):
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
