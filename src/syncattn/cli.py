@@ -42,8 +42,8 @@ def _add_layout_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--precision", choices=sorted(PRECISIONS), default="f32")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q-block", type=int, default=64)
-    p.add_argument("--k-block", type=int, default=64)
+    p.add_argument("--q-block", type=int, default=TileConfig().q_block)
+    p.add_argument("--k-block", type=int, default=TileConfig().k_block)
 
 
 def _layout_from_args(args) -> TokenLayout:

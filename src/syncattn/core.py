@@ -151,9 +151,10 @@ def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k.shape != v.shape:
         raise ValueError(f"k {k.shape} and v {v.shape} must match")
     for name, x in (("q", q), ("k", k), ("v", v)):
-        finite = np.isfinite(x)
-        if not finite.all():
-            where = tuple(int(i) for i in np.argwhere(~finite)[0])
+        # NaN and +-inf reach the min or the max, so two reductions find
+        # them without a tensor-sized boolean mask; that is built on failure.
+        if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+            where = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
             raise ValueError(f"{name} has a non-finite value {x[where]} at (batch, head, row, col) {where}")
     return q, k, v
 

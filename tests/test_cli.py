@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from syncattn.cli import main
+from syncattn.kernel import TileConfig
 
 CLI = [sys.executable, "-m", "syncattn"]
 
@@ -98,6 +99,15 @@ class TestBench:
                 if key in TIMING_FIELDS:
                     continue
                 assert str(value) == cr[key], key
+
+    def test_default_tiles_are_the_kernel_defaults(self):
+        proc = run_cli(
+            "bench", "--frames", "2", "--video-tokens", "4", "--audio-tokens", "1",
+            "--repeats", "3", "--impl", "decomposed",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout.splitlines()[0])
+        assert (rec["q_block"], rec["k_block"]) == (TileConfig().q_block, TileConfig().k_block)
 
     def test_diff_absent_without_validate(self):
         proc = run_cli(

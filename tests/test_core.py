@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from syncattn.bench import measure_peak_bytes
 from syncattn.core import (
     GoldenFileError,
     TokenLayout,
     check_cu_seqlens,
+    check_qkv,
     per_frame_cu_seqlens,
     read_golden,
     seeded_random_tensor,
@@ -76,6 +78,24 @@ class TestCuSeqlens:
             check_cu_seqlens(np.array([0, 3, 2]), 2)
         with pytest.raises(ValueError):
             check_cu_seqlens(np.array([0, 2]), 3)
+
+
+class TestCheckQkv:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    def test_non_finite_value_named(self, name, bad):
+        # +inf is only the max and -inf only the min of its tensor.
+        qkv = {n: seeded_random_tensor((2, 3, 5, 4), i) for i, n in enumerate("qkv")}
+        qkv[name][1, 2, 3, 0] = bad
+        with pytest.raises(ValueError, match=rf"{name} has a non-finite value .* \(1, 2, 3, 0\)"):
+            check_qkv(qkv["q"], qkv["k"], qkv["v"])
+
+    def test_finite_check_allocates_no_mask(self):
+        # A reference-layout-sized tensor is scanned without a boolean mask
+        # of its size (2.3 MB here).
+        x = seeded_random_tensor((1, 8, 4480, 64), 3)
+        _, peak = measure_peak_bytes(lambda: check_qkv(x, x, x))
+        assert peak < 64 * 1024, peak
 
 
 class TestSeededRandomTensor:

@@ -96,6 +96,18 @@ class TestFlashForward:
         small, large = peak_for(256), peak_for(4096)
         assert large < 1.5 * small, (small, large)
 
+    def test_memory_independent_of_key_length_default_tiles(self):
+        # The same law at the default tiles, where one query block streams
+        # several key tiles and a key tile serves one query block.
+        def peak_for(s_k):
+            q, k, v = _qkv(19, (1, 1, 64, 64), (1, 1, s_k, 64))
+            _, peak = measure_peak_bytes(lambda: flash_forward(q, k, v))
+            return peak
+
+        assert 1024 > TileConfig().k_block
+        small, large = peak_for(1024), peak_for(8192)
+        assert large < 1.5 * small, (small, large)
+
     def test_shape_errors(self):
         q = seeded_random_tensor((1, 1, 4, 8), 0)
         k = seeded_random_tensor((1, 2, 4, 8), 1)

@@ -196,6 +196,19 @@ class TestMasked3dForward:
             ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D))
             assert np.max(np.abs(got - ref.out)) <= 1e-12, (layout, tile)
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_matches_oracle_default_tiles(self, dtype, tol):
+        # The dense video+others block spans several query blocks and key
+        # tiles at the default tiles, so rows carry softmax state across tiles.
+        layout = TokenLayout(frames=3, video_per_frame=200, audio_per_frame=4, others_len=150)
+        dense = block_plan(layout, InjectionConfig.MASKED_3D)[0]
+        tile = TileConfig()
+        assert dense.cu_q[-1] > tile.q_block and dense.cu_k[-1] > tile.k_block
+        q, k, v = _qkv(layout, 45, heads=2, head_dim=16, dtype=dtype)
+        got = masked3d_forward(q, k, v, layout)
+        ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D))
+        assert np.max(np.abs(got - ref.out)) <= tol
+
     def test_no_video_at_all(self):
         layout = TokenLayout(frames=2, video_per_frame=0, audio_per_frame=3, others_len=4)
         q, k, v = _qkv(layout, 50, dtype=np.float64)
