@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bench import BenchCase, BenchRecord, run_case
-from .core import PRECISIONS, TokenLayout, seeded_random_tensor
+from .core import PRECISIONS, TokenLayout, seeded_random_tensor, segment_offsets
 from .golden_suites import SUITES, check_suite, generate_suite
 from .kernel import TileConfig
 from .reference import naive_attention
@@ -75,6 +75,16 @@ def _case_from_args(args, repeats: int = 3) -> BenchCase:
     )
 
 
+def _row_segment(layout: TokenLayout, row: int) -> tuple[str, str]:
+    """The (segment, frame) of a packed row; others tokens have no frame."""
+    video, others, audio = segment_offsets(layout)
+    if row in video:
+        return "video", str(row // layout.video_per_frame)
+    if row in others:
+        return "others", "-"
+    return "audio", str((row - audio.start) // layout.audio_per_frame)
+
+
 def cmd_validate(args) -> int:
     try:
         case = _case_from_args(args)
@@ -88,7 +98,8 @@ def cmd_validate(args) -> int:
 
     decomposed = masked3d_forward(q, k, v, case.layout, case.tile)
     oracle = naive_attention(q, k, v, build_mask(case.layout, InjectionConfig.MASKED_3D))
-    diff = float(np.max(np.abs(decomposed - oracle.out))) if decomposed.size else 0.0
+    err = np.abs(decomposed - oracle.out)
+    diff = float(err.max()) if err.size else 0.0
     tol = VALIDATE_TOL[args.precision]
     ok = diff <= tol
     print(
@@ -96,6 +107,10 @@ def cmd_validate(args) -> int:
         f"L={case.layout.audio_per_frame} others={case.layout.others_len} "
         f"total={case.layout.total_len} precision={args.precision}"
     )
+    if err.size:
+        bi, hi, row, _ = np.unravel_index(np.argmax(err), err.shape)
+        segment, frame = _row_segment(case.layout, int(row))
+        print(f"worst batch={bi} head={hi} row={row} segment={segment} frame={frame}")
     print(f"max_abs_diff={diff:.6e} tol={tol:.0e} -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -1,11 +1,11 @@
 """Tiled, streaming scaled-dot-product attention that never materializes QK^T.
 
 Work units are (batch, head, group) triples, run one after another.  A
-unit casts its queries to float64 once and keeps the classic
-online-softmax state of every query row (running row max ``m``, running
-denominator ``l``, rescaled accumulator ``acc``) across the whole key
-loop.  Key/value tiles are the outer loop, so each tile is cast once;
-query blocks are the inner loop, and each updates its rows in place:
+unit keeps the classic online-softmax state of every query row (running
+row max ``m``, running denominator ``l``, rescaled accumulator ``acc``)
+across the whole key loop.  Key/value tiles are the outer loop and are
+read where they lie; query blocks are the inner loop, and each updates its
+rows in place:
 
     m_new = max(m, rowmax(S_tile))
     alpha = exp(m - m_new)
@@ -18,12 +18,16 @@ query row sees the same operations on the same key tiles in the same
 order as it would with query blocks outermost, so results depend on the
 tile shape only, not on the loop order.
 
-Memory per unit is O(S_q * head_dim) float64 state plus
-O(q_block * k_block + k_block * head_dim) tile buffers, independent of
-the key length.  All tile arithmetic runs in float64 and results are cast
-to the input precision at the end, which keeps different tile shapes
-within a couple of ulps of each other.  Every reduction order is fixed,
-so results are bit-identical from run to run.  The dense call is the
+All tile arithmetic (matmuls, ``exp``, the softmax state) runs in the
+input precision, and ``acc`` and ``m`` are the output's own rows.  Memory
+per unit is O(S_q) for ``l`` plus O(q_block * k_block) score tiles,
+independent of the key length.  Float32 rounds each score ``s`` to
+2**-24 relative, so its error against the float64 oracle grows with the
+logits: |out - oracle| <= 4 * 2**-24 * max|s| * max|v| (measured errors
+reach about half of 2**-24 * max|s| * max|v|), which stays under 1e-5 for
+ordinary inputs but reaches ~1e-3 at max|s| ~ 16 000.  Float64 inputs
+keep the oracle's 1e-12 there.  Every reduction order is fixed, so
+results are bit-identical from run to run.  The dense call is the
 single-group case of the varlen call.
 """
 
@@ -37,13 +41,13 @@ from .core import AttnPartial, check_cu_seqlens, check_qkv
 
 __all__ = ["TileConfig", "flash_forward", "flash_varlen_forward"]
 
-# Default 256x512 tiles, from a sweep over the three benchmark workloads
-# (2-core x86 machine, one OpenBLAS thread, float32 inputs): every tile
-# from 128x512 to 1024x1024 ran the reference layout about 1.6x faster
-# than 64x64 and within noise of each other, and 256x512 was among the
-# fastest on all three.  Larger tiles only cost memory: 1024x1024 raised
-# the reference layout's peak bytes by 13%; 256x512 raises the flat 2D
-# wirings' by 1.3% over 64x64.
+# Default 256x512 tiles, from a sweep of the reference layout (2-core x86
+# machine, one OpenBLAS thread, float32 inputs and tile arithmetic): every
+# tile from 128x512 to 1024x1024 ran within noise of each other (958-1077
+# ms median) and about 2.5x faster than 64x64 (2469 ms), all at one peak of
+# 36.1 MB.  An earlier sweep over all three benchmark workloads found
+# 256x512 among the fastest on each; on the flat 2D wirings it raises the
+# peak by about 1.3% over 64x64.
 @dataclass(frozen=True)
 class TileConfig:
     q_block: int = 256
@@ -54,25 +58,23 @@ class TileConfig:
             raise ValueError(f"tile blocks must be >= 1, got {self}")
 
 
-def _flash_group(q_grp, k_grp, v_grp, tile: TileConfig):
-    """Stream each key tile of one group once past all its query blocks;
-    returns float64 (out, lse) of the group's query rows."""
+def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
+    """Stream each key tile of one group once past all its query blocks,
+    accumulating in place into the group's ``out`` (zeros) and ``lse``
+    (-inf) rows, which double as ``acc`` and ``m``."""
     s_q, d = q_grp.shape
     s_k = k_grp.shape[0]
-    scale = 1.0 / np.sqrt(d)
-    q64 = np.asarray(q_grp, dtype=np.float64)
-    m = np.full(s_q, -np.inf)
-    l = np.zeros(s_q)
-    acc = np.zeros((s_q, d))
+    scale = q_grp.dtype.type(1.0 / np.sqrt(d))
+    l = np.zeros(s_q, dtype=q_grp.dtype)
     for j0 in range(0, s_k, tile.k_block):
         j1 = min(j0 + tile.k_block, s_k)
-        k_tile = np.asarray(k_grp[j0:j1], dtype=np.float64)
-        v_tile = np.asarray(v_grp[j0:j1], dtype=np.float64)
+        k_tile = k_grp[j0:j1]
+        v_tile = v_grp[j0:j1]
         for i0 in range(0, s_q, tile.q_block):
             i1 = min(i0 + tile.q_block, s_q)
-            s = q64[i0:i1] @ k_tile.T
+            s = q_grp[i0:i1] @ k_tile.T
             s *= scale
-            m_blk = m[i0:i1]
+            m_blk = lse[i0:i1]
             m_new = np.maximum(m_blk, s.max(axis=1))
             alpha = np.exp(m_blk - m_new)
             s -= m_new[:, None]
@@ -80,14 +82,12 @@ def _flash_group(q_grp, k_grp, v_grp, tile: TileConfig):
             l_blk = l[i0:i1]
             l_blk *= alpha
             l_blk += s.sum(axis=1)
-            acc_blk = acc[i0:i1]
+            acc_blk = out[i0:i1]
             acc_blk *= alpha[:, None]
             acc_blk += s @ v_tile
             m_blk[...] = m_new
-    acc /= l[:, None]
-    np.log(l, out=l)
-    l += m
-    return acc, l
+    out /= l[:, None]
+    lse += np.log(l, out=l)
 
 
 def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
@@ -129,7 +129,8 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -
     for bi in range(b):
         for hi in range(h):
             for q0, q1, k0, k1 in groups:
-                out[bi, hi, q0:q1], lse[bi, hi, q0:q1] = _flash_group(
-                    q[bi, hi, q0:q1], k[bi, hi, k0:k1], v[bi, hi, k0:k1], tile
+                _flash_group(
+                    q[bi, hi, q0:q1], k[bi, hi, k0:k1], v[bi, hi, k0:k1],
+                    out[bi, hi, q0:q1], lse[bi, hi, q0:q1], tile,
                 )
     return AttnPartial(out, lse)

@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
-from syncattn.cli import main
+import numpy as np
+
+from syncattn.cli import _row_segment, main
+from syncattn.core import TokenLayout, seeded_random_tensor
 from syncattn.kernel import TileConfig
+from syncattn.reference import naive_attention
+from syncattn.topology import InjectionConfig, build_mask, masked3d_forward
 
 CLI = [sys.executable, "-m", "syncattn"]
 
@@ -31,6 +37,37 @@ class TestValidate:
         assert proc.returncode == 0, proc.stderr
         assert "max_abs_diff" in proc.stdout
         assert "PASS" in proc.stdout
+
+    def test_names_the_worst_element(self, capsys):
+        assert main([
+            "validate", "--frames", "3", "--video-tokens", "6", "--audio-tokens", "2",
+            "--others", "5", "--heads", "3", "--batch", "2", "--seed", "11",
+        ]) == 0
+        out = capsys.readouterr().out
+        found = re.search(
+            r"^worst batch=(\d+) head=(\d+) row=(\d+) segment=(video|others|audio) frame=(\d+|-)$",
+            out, re.MULTILINE,
+        )
+        assert found, out
+        bi, hi, row = map(int, found.group(1, 2, 3))
+        diff = float(re.search(r"^max_abs_diff=(\S+) tol=1e-05 -> PASS$", out, re.MULTILINE).group(1))
+
+        layout = TokenLayout(frames=3, video_per_frame=6, audio_per_frame=2, others_len=5)
+        dims = (2, 3, layout.total_len, 16)
+        q, k, v = (seeded_random_tensor(dims, 11 + i, np.float32) for i in range(3))
+        err = np.abs(masked3d_forward(q, k, v, layout)
+                     - naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D)).out)
+        assert float(f"{err[bi, hi, row].max():.6e}") == diff
+        assert found.group(4, 5) == _row_segment(layout, row)
+
+    def test_row_segment_and_frame(self):
+        layout = TokenLayout(frames=3, video_per_frame=2, audio_per_frame=1, others_len=2)
+        expected = (
+            [("video", "0")] * 2 + [("video", "1")] * 2 + [("video", "2")] * 2
+            + [("others", "-")] * 2
+            + [("audio", "0"), ("audio", "1"), ("audio", "2")]
+        )
+        assert [_row_segment(layout, r) for r in range(layout.total_len)] == expected
 
     def test_degenerate_no_audio_passes(self):
         proc = run_cli("validate", "--frames", "1", "--audio-tokens", "0")

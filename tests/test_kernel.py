@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from syncattn.bench import measure_peak_bytes
-from syncattn.core import per_frame_cu_seqlens, seeded_random_tensor
+from syncattn.core import TokenLayout, per_frame_cu_seqlens, seeded_random_tensor
 from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
 from syncattn.reference import naive_attention
+from syncattn.topology import InjectionConfig, build_mask, masked3d_forward
 
 
 def _qkv(seed, bq, bk, dtype=np.float32):
@@ -129,6 +130,47 @@ class TestFlashForward:
         ):
             with pytest.raises(ValueError, match="head_dim must be >= 1"):
                 call()
+
+
+EXTREME_LAYOUT = TokenLayout(frames=4, video_per_frame=40, audio_per_frame=6, others_len=30)
+
+
+def _extreme_logit_case(entry, q_scale, dtype):
+    """Inputs with q scaled by ``q_scale``, the entry's output on them, and
+    the float64 oracle on the same (exactly widened) values."""
+    if entry == "flash_forward":
+        q, k, v = _qkv(47, (1, 2, 70, 32), (1, 2, 1100, 32), dtype)
+        mask, call = None, lambda q: flash_forward(q, k, v).out
+    else:
+        dims = (1, 2, EXTREME_LAYOUT.total_len, 32)
+        q, k, v = _qkv(53, dims, dims, dtype)
+        mask = build_mask(EXTREME_LAYOUT, InjectionConfig.MASKED_3D)
+        call = lambda q: masked3d_forward(q, k, v, EXTREME_LAYOUT)
+    q = q * dtype(q_scale)
+    oracle = naive_attention(*(x.astype(np.float64) for x in (q, k, v)), mask).out
+    return q, k, v, call(q), oracle
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", ["flash_forward", "masked3d_forward"])
+@pytest.mark.parametrize("q_scale", [1, 8, 64, 3000])
+class TestExtremeLogits:
+    """Scaled queries push the scores to |s| ~ 16 000 over several key
+    tiles.  Float32 tile arithmetic rounds each score to 2**-24 relative,
+    so its error grows with max|s|; float64 keeps the oracle tolerance."""
+
+    def test_f32_error_follows_logit_law(self, entry, q_scale):
+        q, k, v, got, oracle = _extreme_logit_case(entry, q_scale, np.float32)
+        s = np.einsum("bhqd,bhkd->bhqk", q.astype(np.float64), k.astype(np.float64))
+        bound = 4 * 2.0**-24 * np.max(np.abs(s)) / np.sqrt(q.shape[-1]) * np.max(np.abs(v))
+        err = np.max(np.abs(got - oracle))
+        assert err <= bound, (err, bound)
+        if q_scale == 1:
+            assert err <= 1e-5
+
+    def test_f64_keeps_oracle_tolerance(self, entry, q_scale):
+        *_, got, oracle = _extreme_logit_case(entry, q_scale, np.float64)
+        assert np.max(np.abs(got - oracle)) <= 1e-12
 
 
 class TestFlashVarlen:
