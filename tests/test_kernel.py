@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from syncattn import kernel
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import TokenLayout, per_frame_cu_seqlens, seeded_random_tensor
 from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
 from syncattn.reference import naive_attention
-from syncattn.topology import InjectionConfig, build_mask, masked3d_forward
+from syncattn.topology import InjectionConfig, block_plan, build_mask, masked3d_forward
 
 
 def _qkv(seed, bq, bk, dtype=np.float32):
@@ -135,20 +136,33 @@ class TestFlashForward:
 EXTREME_LAYOUT = TokenLayout(frames=4, video_per_frame=40, audio_per_frame=6, others_len=30)
 
 
-def _extreme_logit_case(entry, q_scale, dtype):
-    """Inputs with q scaled by ``q_scale``, the entry's output on them, and
-    the float64 oracle on the same (exactly widened) values."""
+def _extreme_logit_inputs(entry, q_scale, dtype):
+    """The entry's q, k, v with q scaled by ``q_scale``."""
     if entry == "flash_forward":
         q, k, v = _qkv(47, (1, 2, 70, 32), (1, 2, 1100, 32), dtype)
-        mask, call = None, lambda q: flash_forward(q, k, v).out
     else:
         dims = (1, 2, EXTREME_LAYOUT.total_len, 32)
         q, k, v = _qkv(53, dims, dims, dtype)
+    return q * dtype(q_scale), k, v
+
+
+def _extreme_logit_case(entry, q_scale, dtype):
+    """Inputs with q scaled by ``q_scale``, the entry's output on them, and
+    the float64 oracle on the same (exactly widened) values."""
+    q, k, v = _extreme_logit_inputs(entry, q_scale, dtype)
+    if entry == "flash_forward":
+        mask, got = None, flash_forward(q, k, v).out
+    else:
         mask = build_mask(EXTREME_LAYOUT, InjectionConfig.MASKED_3D)
-        call = lambda q: masked3d_forward(q, k, v, EXTREME_LAYOUT)
-    q = q * dtype(q_scale)
+        got = masked3d_forward(q, k, v, EXTREME_LAYOUT)
     oracle = naive_attention(*(x.astype(np.float64) for x in (q, k, v)), mask).out
-    return q, k, v, call(q), oracle
+    return q, k, v, got, oracle
+
+
+def _max_score(q, k):
+    """max|s| over every (query, key) pair, s = q.k / sqrt(head_dim)."""
+    s = np.einsum("bhqd,bhkd->bhqk", q.astype(np.float64), k.astype(np.float64))
+    return np.max(np.abs(s)) / np.sqrt(q.shape[-1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -161,12 +175,28 @@ class TestExtremeLogits:
 
     def test_f32_error_follows_logit_law(self, entry, q_scale):
         q, k, v, got, oracle = _extreme_logit_case(entry, q_scale, np.float32)
-        s = np.einsum("bhqd,bhkd->bhqk", q.astype(np.float64), k.astype(np.float64))
-        bound = 4 * 2.0**-24 * np.max(np.abs(s)) / np.sqrt(q.shape[-1]) * np.max(np.abs(v))
+        bound = 4 * 2.0**-24 * _max_score(q, k) * np.max(np.abs(v))
         err = np.max(np.abs(got - oracle))
         assert err <= bound, (err, bound)
         if q_scale == 1:
             assert err <= 1e-5
+
+    def test_f32_lse_follows_logit_law(self, entry, q_scale):
+        # The merges weight partials by exp(lse1 - lse), so the lse of each
+        # kernel call obeys its own law: the dense call's, or that of every
+        # block masked3d_forward runs (its stacked per-frame groups too).
+        q, k, v = _extreme_logit_inputs(entry, q_scale, np.float32)
+        if entry == "flash_forward":
+            calls = [(slice(None), slice(None), [0, q.shape[2]], [0, k.shape[2]])]
+        else:
+            calls = [(b.rows, b.cols, b.cu_q, b.cu_k) for b in block_plan(EXTREME_LAYOUT, InjectionConfig.MASKED_3D)]
+        bound = 8 * 2.0**-24 * (_max_score(q, k) + np.log(k.shape[2]))
+        for rows, cols, cu_q, cu_k in calls:
+            sub = (q[:, :, rows], k[:, :, cols], v[:, :, cols])
+            got = flash_varlen_forward(*sub, cu_q, cu_k).lse
+            oracle = naive_attention(*(x.astype(np.float64) for x in sub), _block_diag_mask(cu_q, cu_k)).lse
+            err = _lse_diff(got, oracle)
+            assert err <= bound, (rows, err, bound)
 
     def test_f64_keeps_oracle_tolerance(self, entry, q_scale):
         *_, got, oracle = _extreme_logit_case(entry, q_scale, np.float64)
@@ -222,6 +252,53 @@ class TestFlashVarlen:
         copied = flash_varlen_forward(*map(np.ascontiguousarray, (qs, ks, vs)), cu_q, cu_k)
         assert got.out.tobytes() == copied.out.tobytes()
         assert got.lse.tobytes() == copied.lse.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacks_equal_per_group_calls(self, dtype, monkeypatch):
+        # At 4x3 tiles and head_dim 3 a stack holds at most 12 scores and
+        # 12 PV numbers: nine 2x3 groups stack in twos, the 5x7 group
+        # between two runs stands alone, and 1x2 groups stack up to four,
+        # cut by a zero-key and a zero-query group but not by an empty one.
+        sizes = [(2, 3)] * 9 + [(5, 7)] + [(1, 2)] * 3 + [(2, 0)] + [(1, 2)] * 2 + [(0, 0)]
+        sizes += [(1, 2)] + [(0, 2)] + [(1, 2)] * 2
+        cu_q, cu_k = (np.cumsum([0] + [sz[i] for sz in sizes]) for i in (0, 1))
+        tile = TileConfig(4, 3)
+        q, k, v = _qkv(59, (2, 2, cu_q[-1], 3), (2, 2, cu_k[-1], 3), dtype)
+
+        stacks, run_stack = [], kernel._flash_group
+        monkeypatch.setattr(kernel, "_flash_group", lambda q_grp, *rest: stacks.append(len(q_grp)) or run_stack(q_grp, *rest))
+        got = flash_varlen_forward(q, k, v, cu_q, cu_k, tile)
+        monkeypatch.undo()
+        assert stacks == [2, 2, 2, 2, 1, 1, 3, 3, 2] * 4  # per (batch, head)
+
+        parts = [
+            flash_forward(q[:, :, q0:q1], k[:, :, k0:k1], v[:, :, k0:k1], tile)
+            for q0, q1, k0, k1 in zip(cu_q[:-1], cu_q[1:], cu_k[:-1], cu_k[1:])
+        ]
+        assert got.out.tobytes() == np.concatenate([p.out for p in parts], axis=2).tobytes()
+        assert got.lse.tobytes() == np.concatenate([p.lse for p in parts], axis=2).tobytes()
+
+    def test_tiny_groups_stack_within_one_tile(self):
+        # 4096 groups of 4x8 at the default tiles stack; besides its result
+        # the call holds one default tile's worth of numbers (here the PV
+        # product of a stack) plus a few rows of softmax state.
+        cu_q, cu_k = per_frame_cu_seqlens(4, 4096), per_frame_cu_seqlens(8, 4096)
+        q, k, v = _qkv(61, (1, 1, cu_q[-1], 64), (1, 1, cu_k[-1], 64))
+        (out, lse), peak = measure_peak_bytes(lambda: flash_varlen_forward(q, k, v, cu_q, cu_k))
+        tile = TileConfig()
+        assert peak - out.nbytes - lse.nbytes <= (tile.q_block * tile.k_block + 3 * cu_q[-1]) * q.itemsize
+
+    def test_large_groups_stay_unstacked(self):
+        # 264x264 groups (the flat 2D self-attention's) exceed the budget in
+        # twos, so 16 of them need no more transient memory than one.
+        def transient(groups):
+            cu = per_frame_cu_seqlens(264, groups)
+            q, k, v = _qkv(67, (1, 1, cu[-1], 64), (1, 1, cu[-1], 64))
+            (out, lse), peak = measure_peak_bytes(lambda: flash_varlen_forward(q, k, v, cu, cu))
+            return peak - out.nbytes - lse.nbytes
+
+        one, many = transient(1), transient(16)
+        assert many <= 1.1 * one, (one, many)
 
     def test_boundary_validation(self):
         q, k, v = _qkv(41, (1, 1, 6, 8), (1, 1, 6, 8))
