@@ -98,6 +98,7 @@ def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
             acc_blk *= alpha[..., None]
             acc_blk += s @ v_tile
             m_blk[...] = m_new
+            del s  # so the next QK^T does not allocate beside this tile
     out /= l[..., None]
     lse += np.log(l, out=l)
 

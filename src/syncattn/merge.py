@@ -11,6 +11,11 @@ an all-masked query row merges cleanly.  LSE arithmetic runs in float64
 even for float32 partials; the weights are applied in the tensors' own
 precision.  Disjointness of the key sets is the caller's obligation and
 is not checked here.
+
+A merge may write into a given ``out`` partial, ``p1`` itself included.
+The output is formed one (batch, head) at a time, so beyond O(rows)
+weights its only temporary is one ``(S_q, D)`` block; this is the same
+IEEE arithmetic as the whole-tensor expression above.
 """
 
 from __future__ import annotations
@@ -25,24 +30,37 @@ from .core import AttnPartial
 __all__ = ["merge_many", "merge_partials"]
 
 
-def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
-    """Merge two partials over disjoint key sets for the same queries."""
+def merge_partials(p1: AttnPartial, p2: AttnPartial, out: AttnPartial | None = None) -> AttnPartial:
+    """Merge two partials over disjoint key sets for the same queries.
+
+    The result is written into ``out`` and returned; ``out`` may be ``p1``
+    but not share memory with ``p2``.  Without ``out`` it is a fresh partial.
+    """
     o1, lse1 = p1
     o2, lse2 = p2
     if o1.shape != o2.shape or lse1.shape != lse2.shape:
         raise ValueError(
             f"partial shapes differ: out {o1.shape} vs {o2.shape}, lse {lse1.shape} vs {lse2.shape}"
         )
+    if out is None:
+        out = AttnPartial(np.empty_like(o1), np.empty_like(lse1))
+    elif out.out.shape != o1.shape or out.lse.shape != lse1.shape:
+        raise ValueError(f"out shapes {out.out.shape} {out.lse.shape} differ from p1's {o1.shape} {lse1.shape}")
+    elif any(np.shares_memory(a, b) for a in out for b in p2):
+        raise ValueError("merge_partials out must not share memory with p2, which it would overwrite")
     l1 = np.asarray(lse1, dtype=np.float64)
     l2 = np.asarray(lse2, dtype=np.float64)
     lse = np.logaddexp(l1, l2)
     # exp(-inf - -inf) for a row that is empty on both sides is defined as 0.
     both_empty = np.isneginf(lse)
     with np.errstate(invalid="ignore"):
-        w1 = np.where(both_empty, 0.0, np.exp(l1 - lse))
-        w2 = np.where(both_empty, 0.0, np.exp(l2 - lse))
-    out = o1 * w1[..., None].astype(o1.dtype) + o2 * w2[..., None].astype(o2.dtype)
-    return AttnPartial(out, lse.astype(lse1.dtype))
+        w1 = np.where(both_empty, 0.0, np.exp(l1 - lse))[..., None].astype(o1.dtype)
+        w2 = np.where(both_empty, 0.0, np.exp(l2 - lse))[..., None].astype(o2.dtype)
+    out.lse[...] = lse
+    for bh in np.ndindex(o1.shape[:-2]):
+        np.multiply(o1[bh], w1[bh], out=out.out[bh])
+        out.out[bh] += o2[bh] * w2[bh]
+    return out
 
 
 def merge_many(parts: Iterable[AttnPartial]) -> AttnPartial:

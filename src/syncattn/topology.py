@@ -145,6 +145,12 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
     video+others block writes, video->audio merges into its video rows,
     audio->video writes the audio rows and audio->audio merges into them.
     Equals naive attention under the MASKED_3D permission matrix.
+
+    A merging block merges in place into the output rows, and each block's
+    partial is freed before the next kernel call, so peak transient memory
+    is at most: the output and lse, the largest block's partial, one
+    (S_q, D) merge temporary, the kernel's score tile and PV product (each
+    at most ``q_block * k_block`` numbers), and O(rows) lse weights.
     """
     q, k, v = check_qkv(q, k, v)
     if q.shape != k.shape:
@@ -157,8 +163,11 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
         rows, cols = np.s_[:, :, blk.rows], np.s_[:, :, blk.cols]
         part = flash_varlen_forward(q[rows], k[cols], v[cols], blk.cu_q, blk.cu_k, tile)
         if np.isfinite(lse[rows]).any():  # an earlier block wrote these rows
-            part = merge_partials(AttnPartial(out[rows], lse[rows]), part)
-        out[rows], lse[rows] = part
+            here = AttnPartial(out[rows], lse[rows])
+            merge_partials(here, part, out=here)
+        else:
+            out[rows], lse[rows] = part
+        del part  # free this block's partial before the next kernel call
     return out
 
 
@@ -203,8 +212,9 @@ def seeded_projection_set(model_dim: int, heads: int, seed: int, precision: type
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(B, S, H*d) -> a strided (B, H, S, d) view; the kernel reads it uncopied."""
     b, s, c = x.shape
-    return np.ascontiguousarray(x.reshape(b, s, heads, c // heads).transpose(0, 2, 1, 3))
+    return x.reshape(b, s, heads, c // heads).transpose(0, 2, 1, 3)
 
 
 def _join_heads(x: np.ndarray) -> np.ndarray:
@@ -257,14 +267,12 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         packed = np.concatenate(
             [x_video.reshape(b, f, n, c), c_audio.reshape(b, f, l, c)], axis=2
         ).reshape(b, f * (n + l), c)
+        qkv = [_split_heads(packed @ w, h) for w in (weights.wq, weights.wk, weights.wv)]
+        del packed
         cu = per_frame_cu_seqlens(n + l, f)
-        part = flash_varlen_forward(
-            _split_heads(packed @ weights.wq, h),
-            _split_heads(packed @ weights.wk, h),
-            _split_heads(packed @ weights.wv, h),
-            cu, cu,
-        )
-        updated = (_join_heads(part.out) @ weights.wo).reshape(b, f, n + l, c)
+        attn = flash_varlen_forward(*qkv, cu, cu).out
+        del qkv
+        updated = (_join_heads(attn) @ weights.wo).reshape(b, f, n + l, c)
         video_out = np.ascontiguousarray(updated[:, :, :n]).reshape(b, f * n, c)
         if config is InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO:
             return video_out, c_audio

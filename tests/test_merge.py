@@ -103,7 +103,64 @@ class TestMergePartials:
             merge_partials(p, q)
 
 
+class TestMergeInto:
+    """merge_partials(p1, p2, out=p1) writes the pure call's bits into p1."""
+
+    @staticmethod
+    def _pair(dtype):
+        q, k, v = _qkv(51, (2, 3, 6, 8), (2, 3, 9, 8), dtype)
+        p1, p2 = _split_partials(q, k, v, [(0, 4), (4, 9)])
+        for p, empty_rows in ((p1, [0, 1]), (p2, [1, 2])):  # row 1 is empty on both sides
+            p.out[..., empty_rows, :] = 0.0
+            p.lse[..., empty_rows] = NEG_INF
+        return p1, p2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_bit_identical_to_pure_call(self, dtype):
+        p1, p2 = self._pair(dtype)
+        pure = merge_partials(p1, p2)
+        into = merge_partials(p1, p2, out=p1)
+        assert into is p1
+        assert into.out.tobytes() == pure.out.tobytes()
+        assert into.lse.tobytes() == pure.lse.tobytes()
+        assert np.all(into.out[..., 1, :] == 0.0) and np.all(np.isneginf(into.lse[..., 1]))
+
+    def test_into_strided_views_of_a_larger_tensor(self):
+        p1, p2 = self._pair(np.float32)
+        pure = merge_partials(p1, p2)
+        out = np.zeros((2, 3, 10, 8), np.float32)
+        lse = np.full((2, 3, 10), NEG_INF, np.float32)
+        out[:, :, 4:], lse[:, :, 4:] = p1
+        here = AttnPartial(out[:, :, 4:], lse[:, :, 4:])
+        assert merge_partials(here, p2, out=here) is here
+        assert np.array_equal(out[:, :, 4:], pure.out) and np.array_equal(lse[:, :, 4:], pure.lse)
+        assert np.all(out[:, :, :4] == 0.0) and np.all(np.isneginf(lse[:, :, :4]))
+
+    def test_out_sharing_memory_with_p2_rejected(self):
+        p1, p2 = self._pair(np.float64)
+        before = p2.out.copy()
+        with pytest.raises(ValueError, match="share memory with p2"):
+            merge_partials(p1, p2, out=p2)
+        with pytest.raises(ValueError, match="share memory with p2"):
+            merge_partials(p1, p2, out=AttnPartial(np.empty_like(p1.out), p2.lse))
+        assert np.array_equal(p2.out, before)
+
+    def test_out_shape_mismatch_rejected(self):
+        p1, p2 = self._pair(np.float64)
+        with pytest.raises(ValueError, match="out shapes"):
+            merge_partials(p1, p2, out=AttnPartial(p1.out[:, :, :1], p1.lse[:, :, :1]))
+
+
 class TestMergeMany:
+    def test_returns_fresh_arrays_and_leaves_inputs(self):
+        q, k, v = _qkv(61, (1, 2, 5, 8), (1, 2, 12, 8), np.float32)
+        parts = _split_partials(q, k, v, [(0, 4), (4, 8), (8, 12)])
+        copies = [(p.out.copy(), p.lse.copy()) for p in parts]
+        merged = merge_many(parts)
+        assert not any(np.shares_memory(m, x) for m in merged for p in parts for x in p)
+        for p, (o, lse) in zip(parts, copies):
+            assert p.out.tobytes() == o.tobytes() and p.lse.tobytes() == lse.tobytes()
+
     def test_single_element_bit_identical(self):
         q, k, v = _qkv(31, (1, 1, 4, 8), (1, 1, 6, 8), np.float32)
         p = naive_attention(q, k, v)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncattn.bench import measure_peak_bytes
 from syncattn.core import (
     TokenLayout,
     per_frame_cu_seqlens,
@@ -421,3 +422,47 @@ class TestConfigLayerForward:
         xv, ca = self._streams(layout, 8, 500)
         with pytest.raises(ValueError):
             config_layer_forward(xv[:, :-1], ca, layout, InjectionConfig.SELF_ATTN_2D, weights)
+
+
+class TestPeakMemory:
+    """Transient-byte laws, measured by tracemalloc on float32 layouts whose
+    outputs are large next to the kernel's tiles.
+
+    KERNEL is the kernel's working set: one score tile and one PV product,
+    each at most q_block * k_block numbers.  ROW_STATE is 64 bytes (eight
+    float64 numbers) per (batch, head, query row), for lse weights and
+    row statistics.
+    """
+
+    ITEM = 4
+    KERNEL = 2 * TileConfig().q_block * TileConfig().k_block * ITEM
+    ROW_STATE = 64
+
+    def test_masked3d_holds_output_one_partial_and_one_block(self):
+        layout = TokenLayout(frames=16, video_per_frame=256, audio_per_frame=8, others_len=256)
+        b, h, d, s = 1, 2, 64, layout.total_len
+        q, k, v = _qkv(layout, 90, heads=h, head_dim=d)
+        out, peak = measure_peak_bytes(lambda: masked3d_forward(q, k, v, layout))
+        rows = max(blk.rows.stop - blk.rows.start for blk in block_plan(layout, InjectionConfig.MASKED_3D))
+        law = (
+            b * h * s * (d + 1) * self.ITEM  # out and lse
+            + b * h * rows * (d + 1) * self.ITEM  # the largest block's partial
+            + rows * d * self.ITEM  # one (S_q, D) merge temporary
+            + self.KERNEL
+            + self.ROW_STATE * b * h * s
+        )
+        assert out.nbytes == b * h * s * d * self.ITEM
+        assert peak <= law, (peak, law)
+
+    def test_self_attn_2d_holds_four_projections(self):
+        layout = TokenLayout(frames=8, video_per_frame=512, audio_per_frame=16, others_len=0)
+        f, n, l, c, h = layout.frames, layout.video_per_frame, layout.audio_per_frame, 256, 4
+        weights = seeded_projection_set(c, h, 91)
+        xv = seeded_random_tensor((1, f * n, c), 92, np.float32)
+        ca = seeded_random_tensor((1, f * l, c), 93, np.float32)
+        _, peak = measure_peak_bytes(
+            lambda: config_layer_forward(xv, ca, layout, InjectionConfig.SELF_ATTN_2D, weights)
+        )
+        packed = f * (n + l) * c * self.ITEM  # one projection of the packed frames
+        law = 4 * packed + self.KERNEL + self.ROW_STATE * h * f * (n + l)  # q, k, v and the output
+        assert peak <= law, (peak, law)
