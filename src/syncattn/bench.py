@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .kernel import TileConfig
 from .reference import naive_attention
 from .topology import InjectionConfig, build_mask, masked3d_forward
 
-__all__ = ["BenchRecord", "measure_peak_bytes", "run_case", "sweep_layouts", "time_repeats"]
+__all__ = ["BenchRecord", "make_inputs", "measure_peak_bytes", "run_case", "sweep_layouts", "time_repeats"]
 
 IMPLS = ("naive", "decomposed")
 
@@ -99,7 +99,8 @@ def measure_peak_bytes(fn):
     return result, max(peak - baseline, 0)
 
 
-def _make_inputs(case: BenchCase):
+def make_inputs(case: BenchCase):
+    """Seeded q, k and v of a case (seeds ``seed``, ``seed + 1``, ``seed + 2``)."""
     dims = (case.batch, case.heads, case.layout.total_len, case.head_dim)
     q = seeded_random_tensor(dims, case.seed, case.precision)
     k = seeded_random_tensor(dims, case.seed + 1, case.precision)
@@ -109,20 +110,9 @@ def _make_inputs(case: BenchCase):
 
 def _record_base(case: BenchCase, impl: str) -> BenchRecord:
     return BenchRecord(
-        impl=impl,
-        frames=case.layout.frames,
-        video_per_frame=case.layout.video_per_frame,
-        audio_per_frame=case.layout.audio_per_frame,
-        others_len=case.layout.others_len,
-        batch=case.batch,
-        heads=case.heads,
-        head_dim=case.head_dim,
-        precision=precision_name(case.precision),
-        seed=case.seed,
-        q_block=case.tile.q_block,
-        k_block=case.tile.k_block,
-        repeats=case.repeats,
-        total_len=case.layout.total_len,
+        impl=impl, **asdict(case.layout), batch=case.batch, heads=case.heads, head_dim=case.head_dim,
+        precision=precision_name(case.precision), seed=case.seed, **asdict(case.tile),
+        repeats=case.repeats, total_len=case.layout.total_len,
     )
 
 
@@ -137,7 +127,7 @@ def run_case(case: BenchCase, impl: str, validate: bool = False, measure: bool =
     if impl not in IMPLS:
         raise ValueError(f"impl must be one of {IMPLS}, got {impl!r}")
     record = _record_base(case, impl)
-    q, k, v = _make_inputs(case)
+    q, k, v = make_inputs(case)
 
     if impl == "naive":
         mask = build_mask(case.layout, InjectionConfig.MASKED_3D)
@@ -165,14 +155,5 @@ def run_case(case: BenchCase, impl: str, validate: bool = False, measure: bool =
 
 def sweep_layouts(base: TokenLayout, doublings: int = 2) -> list[TokenLayout]:
     """Layouts whose total length doubles at each step (frames and others scale)."""
-    layouts = [base]
-    for i in range(1, doublings + 1):
-        layouts.append(
-            TokenLayout(
-                frames=base.frames * 2**i,
-                video_per_frame=base.video_per_frame,
-                audio_per_frame=base.audio_per_frame,
-                others_len=base.others_len * 2**i,
-            )
-        )
-    return layouts
+    return [replace(base, frames=base.frames * 2**i, others_len=base.others_len * 2**i)
+            for i in range(doublings + 1)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bench import BenchCase, BenchRecord, run_case
-from .core import PRECISIONS, TokenLayout, seeded_random_tensor, segment_offsets
+from .core import PRECISIONS, TokenLayout, segment_offsets
 from .golden_suites import SUITES, check_suite, generate_suite
 from .kernel import TileConfig
 from .reference import naive_attention
@@ -47,12 +47,7 @@ def _add_layout_args(p: argparse.ArgumentParser) -> None:
 
 
 def _layout_from_args(args) -> TokenLayout:
-    layout = TokenLayout(
-        frames=args.frames,
-        video_per_frame=args.video_tokens,
-        audio_per_frame=args.audio_tokens,
-        others_len=args.others,
-    )
+    layout = TokenLayout(args.frames, args.video_tokens, args.audio_tokens, args.others)
     if layout.total_len == 0:
         raise ValueError("layout resolves to an empty sequence")
     return layout
@@ -91,11 +86,7 @@ def cmd_validate(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    dims = (case.batch, case.heads, case.layout.total_len, case.head_dim)
-    q = seeded_random_tensor(dims, case.seed, case.precision)
-    k = seeded_random_tensor(dims, case.seed + 1, case.precision)
-    v = seeded_random_tensor(dims, case.seed + 2, case.precision)
-
+    q, k, v = bench_mod.make_inputs(case)
     decomposed = masked3d_forward(q, k, v, case.layout, case.tile)
     oracle = naive_attention(q, k, v, build_mask(case.layout, InjectionConfig.MASKED_3D))
     err = np.abs(decomposed - oracle.out)

@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     TokenLayout,
     per_frame_cu_seqlens,
+    precision_name,
     read_golden,
     seeded_random_tensor,
     write_golden,
@@ -31,7 +32,7 @@ from .kernel import TileConfig, flash_forward, flash_varlen_forward
 from .merge import merge_many
 from .reference import naive_attention
 from .rope import FreqSchedule, apply_rope, assign_coords
-from .topology import masked3d_forward
+from .topology import InjectionConfig, config_layer_forward, masked3d_forward, seeded_projection_set
 
 __all__ = ["F32_TOL", "SUITES", "check_suite", "generate_suite"]
 
@@ -47,8 +48,6 @@ def _scalar4(x: float, dtype) -> np.ndarray:
 
 
 def _attention_cases(dtype):
-    tag = "f64" if dtype == np.float64 else "f32"
-
     def dense():
         q = seeded_random_tensor((1, 2, 97, 16), 11, dtype)
         k = seeded_random_tensor((1, 2, 203, 16), 12, dtype)
@@ -65,12 +64,10 @@ def _attention_cases(dtype):
         part = flash_varlen_forward(q, k, v, cu_q, cu_k)
         return {"out": part.out, "lse": _lse4(part.lse)}
 
-    return [(f"dense_{tag}", dense), (f"varlen_{tag}", varlen)]
+    return [("dense", dense), ("varlen", varlen)]
 
 
 def _merge_cases(dtype):
-    tag = "f64" if dtype == np.float64 else "f32"
-
     def three_way():
         q = seeded_random_tensor((1, 2, 31, 8), 31, dtype)
         k = seeded_random_tensor((1, 2, 90, 8), 32, dtype)
@@ -82,12 +79,10 @@ def _merge_cases(dtype):
         merged = merge_many(parts)
         return {"out": merged.out, "lse": _lse4(merged.lse)}
 
-    return [(f"three_way_{tag}", three_way)]
+    return [("three_way", three_way)]
 
 
 def _rope_cases(dtype):
-    tag = "f64" if dtype == np.float64 else "f32"
-
     def rotated():
         layout = TokenLayout(frames=3, video_per_frame=12, audio_per_frame=4, others_len=6)
         coords = assign_coords(layout, video_grid=(3, 4))
@@ -95,12 +90,10 @@ def _rope_cases(dtype):
         x = seeded_random_tensor((1, 2, layout.total_len, 16), 41, dtype)
         return {"out": apply_rope(x, coords, sched)}
 
-    return [(f"rotated_{tag}", rotated)]
+    return [("rotated", rotated)]
 
 
 def _flow_cases(dtype):
-    tag = "f64" if dtype == np.float64 else "f32"
-
     def path():
         x0 = seeded_random_tensor((1, 1, 24, 8), 51, dtype)
         x1 = seeded_random_tensor((1, 1, 24, 8), 52, dtype)
@@ -109,12 +102,10 @@ def _flow_cases(dtype):
         loss = fm_loss(mid, x0, x1)
         return {"mid": mid, "sampled": sampled, "loss": _scalar4(loss, dtype)}
 
-    return [(f"path_{tag}", path)]
+    return [("path", path)]
 
 
 def _masked3d_cases(dtype):
-    tag = "f64" if dtype == np.float64 else "f32"
-
     def decomposed():
         layout = TokenLayout(frames=4, video_per_frame=10, audio_per_frame=3, others_len=7)
         dims = (1, 2, layout.total_len, 16)
@@ -123,15 +114,38 @@ def _masked3d_cases(dtype):
         v = seeded_random_tensor(dims, 63, dtype)
         return {"out": masked3d_forward(q, k, v, layout, TileConfig(16, 16))}
 
-    return [(f"decomposed_{tag}", decomposed)]
+    return [("decomposed", decomposed)]
+
+
+def _wirings_cases(dtype):
+    def wiring(config):
+        def build():
+            layout = TokenLayout(frames=3, video_per_frame=5, audio_per_frame=2)
+            weights = seeded_projection_set(16, 2, 71, dtype)
+            x_video = seeded_random_tensor((2, 1, layout.video_len, 16), 72, dtype)[:, 0]
+            c_audio = seeded_random_tensor((2, 1, layout.audio_len, 16), 73, dtype)[:, 0]
+            video, audio = config_layer_forward(x_video, c_audio, layout, config, weights)
+            return {"video": video[:, None], "audio": audio[:, None]}  # (B, 1, S, C)
+
+        return build
+
+    configs = (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
+    return [(config.value, wiring(config)) for config in configs]
+
+
+def _both(cases):
+    """A suite's cases in float64, then float32, named ``<case>_f64`` / ``<case>_f32``."""
+    return lambda: [(f"{name}_{precision_name(dt)}", build) for dt in (np.float64, np.float32)
+                    for name, build in cases(dt)]
 
 
 SUITES = {
-    "attention": lambda: _attention_cases(np.float64) + _attention_cases(np.float32),
-    "merge": lambda: _merge_cases(np.float64) + _merge_cases(np.float32),
-    "rope": lambda: _rope_cases(np.float64) + _rope_cases(np.float32),
-    "flow": lambda: _flow_cases(np.float64) + _flow_cases(np.float32),
-    "masked3d": lambda: _masked3d_cases(np.float64) + _masked3d_cases(np.float32),
+    "attention": _both(_attention_cases),
+    "merge": _both(_merge_cases),
+    "rope": _both(_rope_cases),
+    "flow": _both(_flow_cases),
+    "masked3d": _both(_masked3d_cases),
+    "wirings": _both(_wirings_cases),
 }
 
 

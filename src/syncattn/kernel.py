@@ -117,7 +117,7 @@ def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
     return flash_varlen_forward(q, k, v, [0, s_q], [0, s_k], tile)
 
 
-def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -> AttnPartial:
+def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), out=None) -> AttnPartial:
     """Grouped streaming attention over packed variable-length sequences.
 
     Group ``g`` spans ``cu_q[g]:cu_q[g+1]`` of the packed queries and
@@ -126,6 +126,11 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -
     independently per group and concatenating in query order, though
     adjacent equal groups run as one stack.  Queries of a zero-key group
     get zero output and lse = -inf.
+
+    ``out``, if given, is the destination ``AttnPartial``: arrays of shape
+    (B, H, S_q, D) and (B, H, S_q) in q's dtype, possibly strided views of
+    larger arrays.  The kernel zero-fills them, sets lse to -inf, runs the
+    same arithmetic in them and returns ``out`` itself.
     """
     q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
@@ -134,8 +139,13 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -
         raise ValueError(f"group-count mismatch: cu_q has {cu_q.size - 1} groups, cu_k {cu_k.size - 1}")
 
     b, h, s_q, d = q.shape
-    out = np.zeros((b, h, s_q, d), dtype=q.dtype)
-    lse = np.full((b, h, s_q), -np.inf, dtype=q.dtype)
+    if out is None:
+        out = AttnPartial(np.empty((b, h, s_q, d), q.dtype), np.empty((b, h, s_q), q.dtype))
+    for arr, shape in zip(out, ((b, h, s_q, d), (b, h, s_q))):
+        if arr.shape != shape or arr.dtype != q.dtype:
+            raise ValueError(f"out arrays must be {shape} {q.dtype}, got {arr.shape} {arr.dtype}")
+    o, lse = out
+    o[...], lse[...] = 0, -np.inf
 
     # Stacks: runs of adjacent non-empty groups of one (S_q, S_k), each
     # capped so that its score tile and its PV product (G, rows, D) each
@@ -160,7 +170,7 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig()) -
                 rows, cols = slice(q0, q0 + n * sq), slice(k0, k0 + n * sk)
                 _flash_group(
                     q[bi, hi, rows].reshape(n, sq, d), k[bi, hi, cols].reshape(n, sk, d),
-                    v[bi, hi, cols].reshape(n, sk, d), out[bi, hi, rows].reshape(n, sq, d),
+                    v[bi, hi, cols].reshape(n, sk, d), o[bi, hi, rows].reshape(n, sq, d),
                     lse[bi, hi, rows].reshape(n, sq), tile,
                 )
-    return AttnPartial(out, lse)
+    return out

@@ -1,26 +1,26 @@
 """Attention topologies over a packed video/others/audio sequence.
 
-Masking rule of the frame-synchronized ("masked 3D") topology, per
-query-segment x key-segment pair:
+Which query segment may see which key segment, per wiring ("any": every
+frame pair, "frame": the same frame only, "-": blocked):
 
-    video  -> video    allowed, any frame pair
-    video  -> others   allowed
-    others -> video    allowed
-    others -> others   allowed
-    video  -> audio    allowed only within the same frame
-    audio  -> video    allowed only within the same frame
-    audio  -> audio    allowed only within the same frame
-    others -> audio    blocked
-    audio  -> others   blocked
+    query  -> key      FULL_3D  MASKED_3D  CROSS_ATTN_2D  SELF_ATTN_2D*
+    video  -> video    any      any        -              frame
+    video  -> others   any      any        -              -
+    video  -> audio    any      frame      frame          frame
+    others -> video    any      any        -              -
+    others -> others   any      any        -              -
+    others -> audio    any      -          -              -
+    audio  -> video    any      frame      -              frame
+    audio  -> others   any      -          -              -
+    audio  -> audio    any      frame      -              frame
 
-``block_plan`` states this rule once, as blocks of query rows and per-group
-key columns.  ``build_mask`` materializes it; ``masked3d_forward`` never
-does: it runs the streaming kernel once per block and recombines the
-partial results exactly through their LogSumExp statistics.
-
-The three flat 2D wirings (cross-attention, self-attention with frozen
-audio, self-attention) are executed structurally per frame instead of via
-a global mask.
+MASKED_3D is the frame-synchronized ("masked 3D") topology; the flat 2D
+wirings never touch others tokens, and SELF_ATTN_2D* is both
+self-attention wirings (frozen or updated audio).  ``block_plan`` states
+this rule once, as blocks of query rows and per-group key columns.
+``build_mask`` materializes it; the forward paths never do: ``_run_plan``
+runs the streaming kernel once per block and recombines the partial
+results exactly through their LogSumExp statistics.
 """
 
 from __future__ import annotations
@@ -96,29 +96,31 @@ def block_plan(layout: TokenLayout, config: InjectionConfig) -> list[Block]:
 
     FULL_3D is one dense block.  MASKED_3D is, in order: video+others ->
     video+others dense, then per frame video -> audio, audio -> video and
-    audio -> audio.  Blocks with no rows or no columns are left out.
+    audio -> audio.  CROSS_ATTN_2D is per frame video -> audio.  Both
+    SELF_ATTN_2D wirings are per frame video -> video, then MASKED_3D's
+    three per-frame blocks; the frozen-audio wiring computes its audio rows
+    too and drops them afterwards.  Blocks with no rows or no columns are
+    left out.
     """
-    if config not in (InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D):
-        raise ValueError(f"block_plan only supports FULL_3D and MASKED_3D, got {config}")
+    video, others, audio = (slice(r.start, r.stop) for r in segment_offsets(layout))
+    cu_n = per_frame_cu_seqlens(layout.video_per_frame, layout.frames)
+    cu_l = per_frame_cu_seqlens(layout.audio_per_frame, layout.frames)
+    synced = [Block(video, audio, cu_n, cu_l), Block(audio, video, cu_l, cu_n), Block(audio, audio, cu_l, cu_l)]
     if config is InjectionConfig.FULL_3D:
         whole, dense = slice(0, layout.total_len), np.array([0, layout.total_len])
         blocks = [Block(whole, whole, dense, dense)]
-    else:
-        video, others, audio = (slice(r.start, r.stop) for r in segment_offsets(layout))
+    elif config is InjectionConfig.MASKED_3D:
         vo, dense = slice(0, others.stop), np.array([0, others.stop])  # video then others
-        cu_n = per_frame_cu_seqlens(layout.video_per_frame, layout.frames)
-        cu_l = per_frame_cu_seqlens(layout.audio_per_frame, layout.frames)
-        blocks = [
-            Block(vo, vo, dense, dense),
-            Block(video, audio, cu_n, cu_l),
-            Block(audio, video, cu_l, cu_n),
-            Block(audio, audio, cu_l, cu_l),
-        ]
+        blocks = [Block(vo, vo, dense, dense), *synced]
+    elif config is InjectionConfig.CROSS_ATTN_2D:
+        blocks = synced[:1]
+    else:  # both SELF_ATTN_2D wirings
+        blocks = [Block(video, video, cu_n, cu_n), *synced]
     return [blk for blk in blocks if blk.cu_q[-1] > 0 and blk.cu_k[-1] > 0]
 
 
 def build_mask(layout: TokenLayout, config: InjectionConfig) -> MaskSpec:
-    """Permission matrix for the FULL_3D or MASKED_3D topology: its plan's groups."""
+    """Permission matrix of any wiring: the union of its plan's groups."""
     allow = np.zeros((layout.total_len, layout.total_len), dtype=bool)
     for blk in block_plan(layout, config):
         sub = allow[blk.rows, blk.cols]
@@ -137,37 +139,42 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
     """Frame-synchronized masked attention via decomposition and LSE merging.
 
     Inputs are packed in the fixed segment order of ``layout`` and the
-    sequence axis must equal ``layout.total_len``.  The MASKED_3D
-    ``block_plan`` runs in order, one ``flash_varlen_forward`` call per
-    block over views of q, k and v.  A block writes the output and lse of
-    its rows, or merges through the lse into rows an earlier block wrote
-    (finite lse), which is exact as blocks hold disjoint keys.  The dense
-    video+others block writes, video->audio merges into its video rows,
-    audio->video writes the audio rows and audio->audio merges into them.
-    Equals naive attention under the MASKED_3D permission matrix.
-
-    A merging block merges in place into the output rows, and each block's
-    partial is freed before the next kernel call, so peak transient memory
-    is at most: the output and lse, the largest block's partial, one
-    (S_q, D) merge temporary, the kernel's score tile and PV product (each
-    at most ``q_block * k_block`` numbers), and O(rows) lse weights.
+    sequence axis must equal ``layout.total_len``.  Runs the MASKED_3D
+    ``block_plan``: the dense video+others block writes, video->audio
+    merges into its video rows, audio->video writes the audio rows and
+    audio->audio merges into them.  Equals naive attention under the
+    MASKED_3D permission matrix.
     """
     q, k, v = check_qkv(q, k, v)
     if q.shape != k.shape:
         raise ValueError(f"q/k/v must share one shape, got {q.shape} {k.shape} {v.shape}")
     if q.shape[2] != layout.total_len:
         raise ValueError(f"packed length {q.shape[2]} != layout total_len {layout.total_len}")
+    return _run_plan(q, k, v, block_plan(layout, InjectionConfig.MASKED_3D), tile)
 
+
+def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
+    """Attention output of q's rows under ``plan``, one kernel call per block.
+
+    Blocks run in plan order over views of q's rows and k's and v's
+    columns.  A block's kernel call writes straight into its output and lse
+    rows; if an earlier block wrote them (finite lse), the block's partial
+    is merged into them in place through the lse instead, which is exact
+    as blocks hold disjoint keys.  Rows no block covers stay zero.  Peak
+    transient memory is the output and lse, the largest merging block's
+    partial, one (S_q, D) merge temporary, the kernel's score tile and PV
+    product (each at most ``q_block * k_block`` numbers), and O(rows) lse
+    weights.
+    """
     out, lse = np.zeros(q.shape, q.dtype), np.full(q.shape[:3], -np.inf, q.dtype)
-    for blk in block_plan(layout, InjectionConfig.MASKED_3D):
+    for blk in plan:
         rows, cols = np.s_[:, :, blk.rows], np.s_[:, :, blk.cols]
-        part = flash_varlen_forward(q[rows], k[cols], v[cols], blk.cu_q, blk.cu_k, tile)
-        if np.isfinite(lse[rows]).any():  # an earlier block wrote these rows
-            here = AttnPartial(out[rows], lse[rows])
-            merge_partials(here, part, out=here)
+        here = AttnPartial(out[rows], lse[rows])
+        call = (q[rows], k[cols], v[cols], blk.cu_q, blk.cu_k, tile)
+        if np.isfinite(here.lse).any():  # an earlier block wrote these rows
+            merge_partials(here, flash_varlen_forward(*call), out=here)  # the partial dies here
         else:
-            out[rows], lse[rows] = part
-        del part  # free this block's partial before the next kernel call
+            flash_varlen_forward(*call, out=here)
     return out
 
 
@@ -232,14 +239,17 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         config: CROSS_ATTN_2D, SELF_ATTN_2D_FROZEN_AUDIO, or SELF_ATTN_2D.
         weights: projections applied to queries, keys, values, and output.
 
-    CROSS_ATTN_2D: frame f's video tokens query frame f's audio tokens;
-    the audio stream passes through unchanged.  The two self-attention
-    wirings run per-frame self-attention over concat(video_f, audio_f)
-    and differ only in whether the updated audio tokens are returned or
-    dropped in favor of the originals.
+    Runs the wiring's ``block_plan``.  CROSS_ATTN_2D projects queries from
+    the video stream and keys and values from the audio stream, onto which
+    the plan's key columns are shifted; audio passes through unchanged.
+    The self-attention wirings project the stream packed frame-major as
+    [video_f, audio_f] and run the plan of ``TokenLayout(F, N + L)``, whose
+    one per-frame block holds the four per-frame blocks of video and audio:
+    one softmax per frame, no merge.  The frozen-audio wiring then drops
+    the updated audio for the original.
 
-    Returns the updated (x_video, c_audio) pair.  No residual, norm, or
-    MLP: this is the attention wiring alone.
+    Returns the updated (x_video, c_audio) pair, of the input shapes.  No
+    residual, norm, or MLP: this is the attention wiring alone.
     """
     x_video = np.asarray(x_video)
     c_audio = np.asarray(c_audio)
@@ -249,34 +259,27 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         raise ValueError(f"x_video must be (B, {f * n}, {c}), got {x_video.shape}")
     if c_audio.ndim != 3 or c_audio.shape[1:] != (f * l, c) or c_audio.shape[0] != x_video.shape[0]:
         raise ValueError(f"c_audio must be ({x_video.shape[0]}, {f * l}, {c}), got {c_audio.shape}")
-    b = x_video.shape[0]
-    h = weights.heads
+    if config in (InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D):
+        raise ValueError(f"config_layer_forward does not execute {config}; use masked3d_forward")
+    b, h = x_video.shape[0], weights.heads
 
     if config is InjectionConfig.CROSS_ATTN_2D:
-        part = flash_varlen_forward(
-            _split_heads(x_video @ weights.wq, h),
-            _split_heads(c_audio @ weights.wk, h),
-            _split_heads(c_audio @ weights.wv, h),
-            per_frame_cu_seqlens(n, f),
-            per_frame_cu_seqlens(l, f),
-        )
-        return _join_heads(part.out) @ weights.wo, c_audio
+        a0 = segment_offsets(layout)[2].start  # the plan's key columns, moved onto c_audio
+        plan = [blk._replace(cols=slice(blk.cols.start - a0, blk.cols.stop - a0))
+                for blk in block_plan(layout, config)]
+        attn = _run_plan(_split_heads(x_video @ weights.wq, h), _split_heads(c_audio @ weights.wk, h),
+                         _split_heads(c_audio @ weights.wv, h), plan, TileConfig())
+        return _join_heads(attn) @ weights.wo, c_audio
 
-    if config in (InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D):
-        # Pack [video_f, audio_f] per frame so each group is one frame.
-        packed = np.concatenate(
-            [x_video.reshape(b, f, n, c), c_audio.reshape(b, f, l, c)], axis=2
-        ).reshape(b, f * (n + l), c)
-        qkv = [_split_heads(packed @ w, h) for w in (weights.wq, weights.wk, weights.wv)]
-        del packed
-        cu = per_frame_cu_seqlens(n + l, f)
-        attn = flash_varlen_forward(*qkv, cu, cu).out
-        del qkv
-        updated = (_join_heads(attn) @ weights.wo).reshape(b, f, n + l, c)
-        video_out = np.ascontiguousarray(updated[:, :, :n]).reshape(b, f * n, c)
-        if config is InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO:
-            return video_out, c_audio
-        audio_out = np.ascontiguousarray(updated[:, :, n:]).reshape(b, f * l, c)
-        return video_out, audio_out
-
-    raise ValueError(f"config_layer_forward does not execute {config}; use masked3d_forward")
+    packed = np.concatenate(
+        [x_video.reshape(b, f, n, c), c_audio.reshape(b, f, l, c)], axis=2
+    ).reshape(b, f * (n + l), c)
+    qkv = [_split_heads(packed @ w, h) for w in (weights.wq, weights.wk, weights.wv)]
+    del packed
+    attn = _run_plan(*qkv, block_plan(TokenLayout(f, n + l, 0), config), TileConfig())
+    del qkv
+    updated = (_join_heads(attn) @ weights.wo).reshape(b, f, n + l, c)
+    video_out = np.ascontiguousarray(updated[:, :, :n]).reshape(b, f * n, c)
+    if config is InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO:
+        return video_out, c_audio
+    return video_out, np.ascontiguousarray(updated[:, :, n:]).reshape(b, f * l, c)

@@ -5,7 +5,7 @@ import pytest
 
 from syncattn import kernel
 from syncattn.bench import measure_peak_bytes
-from syncattn.core import TokenLayout, per_frame_cu_seqlens, seeded_random_tensor
+from syncattn.core import AttnPartial, TokenLayout, per_frame_cu_seqlens, seeded_random_tensor
 from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
 from syncattn.reference import naive_attention
 from syncattn.topology import InjectionConfig, block_plan, build_mask, masked3d_forward
@@ -308,3 +308,49 @@ class TestFlashVarlen:
             flash_varlen_forward(q, k, v, np.array([0, 3, 6]), np.array([0, 6]))
         with pytest.raises(ValueError, match="non-decreasing"):
             flash_varlen_forward(q, k, v, np.array([0, 4, 3, 6]), np.array([0, 2, 4, 6]))
+
+
+class TestVarlenOut:
+    """``flash_varlen_forward(..., out=...)`` writes into a given partial."""
+
+    # Runs of equal groups (stacked), a zero-key group and a zero-query group.
+    CU_Q = np.cumsum([0, 2, 2, 2, 2, 3, 1, 0])
+    CU_K = np.cumsum([0, 3, 3, 3, 3, 0, 5, 2])
+
+    def _inputs(self, dtype):
+        return _qkv(71, (2, 2, self.CU_Q[-1], 6), (2, 2, self.CU_K[-1], 6), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_views_get_the_fresh_result(self, dtype):
+        q, k, v = self._inputs(dtype)
+        tile = TileConfig(4, 3)
+        fresh = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile)
+        # Every other row of a NaN buffer, inside a wider head dimension.
+        big_out = np.full((2, 2, 2 * q.shape[2] + 3, 8), np.nan, dtype)
+        big_lse = np.full((2, 2, 2 * q.shape[2] + 3), np.nan, dtype)
+        rows = slice(3, 3 + 2 * q.shape[2], 2)
+        dest = AttnPartial(big_out[:, :, rows, 1:7], big_lse[:, :, rows])
+        assert not dest.out.flags.c_contiguous
+        got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile, out=dest)
+        assert got is dest
+        assert np.ascontiguousarray(dest.out).tobytes() == fresh.out.tobytes()
+        assert np.ascontiguousarray(dest.lse).tobytes() == fresh.lse.tobytes()
+        outside = np.ones(big_out.shape, bool)
+        outside[:, :, rows, 1:7] = False
+        assert np.isnan(big_out[outside]).all()
+        outside_lse = np.ones(big_lse.shape, bool)
+        outside_lse[:, :, rows] = False
+        assert np.isnan(big_lse[outside_lse]).all()
+
+    def test_wrong_shape_or_dtype_rejected(self):
+        q, k, v = self._inputs(np.float32)
+        b, h, s, d = q.shape
+        bad = [
+            AttnPartial(np.zeros((b, h, s - 1, d), np.float32), np.zeros((b, h, s - 1), np.float32)),
+            AttnPartial(np.zeros((b, h, s, d), np.float32), np.zeros((b, h, s, 1), np.float32)),
+            AttnPartial(np.zeros((b, h, s, d), np.float64), np.zeros((b, h, s), np.float32)),
+            AttnPartial(np.zeros((b, h, s, d), np.float32), np.zeros((b, h, s), np.float64)),
+        ]
+        for dest in bad:
+            with pytest.raises(ValueError, match="out arrays"):
+                flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=dest)

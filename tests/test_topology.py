@@ -34,8 +34,30 @@ def _qkv(layout, seed, heads=2, head_dim=8, dtype=np.float32, batch=1):
     )
 
 
-def _expected_allow(layout):
-    """Per-pair application of the masking rule, kept independent of build_mask."""
+CROSS = InjectionConfig.CROSS_ATTN_2D
+FROZEN = InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO
+SELF = InjectionConfig.SELF_ATTN_2D
+WIRINGS_2D = (CROSS, FROZEN, SELF)
+SEGMENTS = ("video", "others", "audio")
+
+# Per wiring, the rule of each (query segment, key segment) pair: "any"
+# frame pair or the same "frame" only; a pair that is not listed is blocked.
+_SELF_RULE = {(a, b): "frame" for a in ("video", "audio") for b in ("video", "audio")}
+RULES = {
+    InjectionConfig.FULL_3D: {(a, b): "any" for a in SEGMENTS for b in SEGMENTS},
+    InjectionConfig.MASKED_3D: {
+        **{(a, b): "any" for a in ("video", "others") for b in ("video", "others")},
+        **{pair: "frame" for pair in (("video", "audio"), ("audio", "video"), ("audio", "audio"))},
+    },
+    CROSS: {("video", "audio"): "frame"},
+    FROZEN: _SELF_RULE,
+    SELF: _SELF_RULE,
+}
+
+
+def _expected_allow(layout, config=InjectionConfig.MASKED_3D):
+    """Per-pair application of the wiring's rule table, kept independent of
+    block_plan and build_mask."""
     total = layout.total_len
     video, others, audio = segment_offsets(layout)
 
@@ -51,12 +73,8 @@ def _expected_allow(layout):
         ki, fi = kind_and_frame(i)
         for j in range(total):
             kj, fj = kind_and_frame(j)
-            if "audio" not in (ki, kj):
-                allow[i, j] = True
-            elif "others" in (ki, kj):
-                allow[i, j] = False
-            else:
-                allow[i, j] = fi == fj
+            rule = RULES[config].get((ki, kj))
+            allow[i, j] = rule == "any" or (rule == "frame" and fi == fj)
     return allow
 
 
@@ -72,6 +90,8 @@ class TestBlockPlan:
         TokenLayout(3, 2, 2, 0),  # others = 0
         TokenLayout(3, 0, 2, 0),  # audio only
     ]
+    # Others tokens between video and audio, which no 2D wiring touches.
+    LAYOUTS_2D = [TokenLayout(2, 3, 2, 4), TokenLayout(1, 2, 3, 5), TokenLayout(3, 1, 1, 2)]
 
     @staticmethod
     def _hits(layout, config):
@@ -84,10 +104,17 @@ class TestBlockPlan:
                 hits[np.ix_(rows, cols)] += 1
         return hits
 
+    def _check_coverage(self, config):
+        for layout in self.LAYOUTS + self.LAYOUTS_2D:
+            expected = _expected_allow(layout, config).astype(np.int64)
+            np.testing.assert_array_equal(self._hits(layout, config), expected, err_msg=str(layout))
+
     def test_masked3d_covers_each_allowed_pair_exactly_once(self):
-        for layout in self.LAYOUTS:
-            hits = self._hits(layout, InjectionConfig.MASKED_3D)
-            np.testing.assert_array_equal(hits, _expected_allow(layout).astype(np.int64), err_msg=str(layout))
+        self._check_coverage(InjectionConfig.MASKED_3D)
+
+    @pytest.mark.parametrize("config", [InjectionConfig.FULL_3D, *WIRINGS_2D], ids=lambda c: c.value)
+    def test_covers_each_allowed_pair_exactly_once(self, config):
+        self._check_coverage(config)
 
     def test_full3d_is_one_dense_block(self):
         for layout in self.LAYOUTS:
@@ -101,6 +128,29 @@ class TestBlockPlan:
         vo, video, audio = slice(0, 7), slice(0, 6), slice(7, 13)
         plan = block_plan(layout, InjectionConfig.MASKED_3D)
         assert [(b.rows, b.cols) for b in plan] == [(vo, vo), (video, audio), (audio, video), (audio, audio)]
+
+    def test_cross_attn_2d_is_per_frame_video_to_audio(self):
+        (blk,) = block_plan(TokenLayout(3, 2, 2, 1), CROSS)
+        assert (blk.rows, blk.cols) == (slice(0, 6), slice(7, 13))
+        assert list(blk.cu_q) == list(blk.cu_k) == [0, 2, 4, 6]
+
+    @pytest.mark.parametrize("config", [FROZEN, SELF], ids=lambda c: c.value)
+    def test_self_attn_2d_blocks_in_plan_order(self, config):
+        video, audio = slice(0, 6), slice(7, 10)
+        plan = block_plan(TokenLayout(3, 2, 1, 1), config)
+        assert [(b.rows, b.cols) for b in plan] == [(video, video), (video, audio), (audio, video), (audio, audio)]
+        cu_n, cu_l = [0, 2, 4, 6], [0, 1, 2, 3]
+        assert [(list(b.cu_q), list(b.cu_k)) for b in plan] == [
+            (cu_n, cu_n), (cu_n, cu_l), (cu_l, cu_n), (cu_l, cu_l)
+        ]
+
+    @pytest.mark.parametrize("config", [FROZEN, SELF], ids=lambda c: c.value)
+    def test_self_attn_2d_of_frame_major_stream_is_one_block(self, config):
+        # config_layer_forward packs [video_f, audio_f] per frame as the
+        # video segment of TokenLayout(F, N + L): one group per frame.
+        (blk,) = block_plan(TokenLayout(3, 2 + 1, 0, 0), config)
+        assert (blk.rows, blk.cols) == (slice(0, 9), slice(0, 9))
+        assert list(blk.cu_q) == list(blk.cu_k) == [0, 3, 6, 9]
 
 
 class TestBuildMask:
@@ -138,19 +188,9 @@ class TestBuildMask:
             TokenLayout(4, 0, 2, 2),
             TokenLayout(2, 3, 1, 0),
         ]:
-            got = build_mask(layout, InjectionConfig.MASKED_3D).allow
-            np.testing.assert_array_equal(got, _expected_allow(layout), err_msg=str(layout))
-
-    def test_2d_configs_rejected(self):
-        layout = TokenLayout(2, 2, 1, 0)
-        for config in (
-            InjectionConfig.CROSS_ATTN_2D,
-            InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO,
-            InjectionConfig.SELF_ATTN_2D,
-        ):
-            for fn in (build_mask, block_plan):
-                with pytest.raises(ValueError):
-                    fn(layout, config)
+            for config in InjectionConfig:
+                got = build_mask(layout, config).allow
+                np.testing.assert_array_equal(got, _expected_allow(layout, config), err_msg=f"{layout} {config}")
 
     def test_text_bitmap(self):
         layout = TokenLayout(frames=2, video_per_frame=1, audio_per_frame=1, others_len=0)
@@ -337,8 +377,7 @@ class TestNonFiniteInput:
 
 
 class TestConfigLayerForward:
-    def _streams(self, layout, model_dim, seed, dtype=np.float32):
-        b = 1
+    def _streams(self, layout, model_dim, seed, dtype=np.float32, b=1):
         xv = seeded_random_tensor((b, 1, layout.frames * layout.video_per_frame, model_dim), seed, dtype)[:, 0]
         ca = seeded_random_tensor((b, 1, layout.frames * layout.audio_per_frame, model_dim), seed + 1, dtype)[:, 0]
         return xv, ca
@@ -409,6 +448,67 @@ class TestConfigLayerForward:
         assert np.max(np.abs(v_out - expected[:, : f * n])) <= 1e-5
         assert np.max(np.abs(a_out - expected[:, f * n :])) <= 1e-5
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        frames=st.integers(1, 3),
+        video=st.integers(0, 4),
+        audio=st.integers(0, 3),
+        others=st.integers(0, 3),
+        batch=st.integers(1, 2),
+        heads=st.integers(1, 2),
+        head_dim=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_oracle_on_random_layouts(self, frames, video, audio, others, batch, heads, head_dim, seed):
+        # The oracle attends over the [video | audio] projections under the
+        # wiring's packed mask with the others rows and columns taken out.
+        layout = TokenLayout(frames, video, audio, others)
+        weights = seeded_projection_set(heads * head_dim, heads, seed, np.float64)
+        xv, ca = self._streams(layout, heads * head_dim, seed + 1, np.float64, batch)
+        stream = np.concatenate([xv, ca], axis=1)
+        b, s, c = stream.shape
+        seg_video, _, seg_audio = segment_offsets(layout)
+        keep = np.r_[seg_video, seg_audio].astype(np.int64)
+
+        def project(w):
+            return np.ascontiguousarray((stream @ w).reshape(b, s, heads, head_dim).transpose(0, 2, 1, 3))
+
+        q, k, v = (project(w) for w in (weights.wq, weights.wk, weights.wv))
+        outs = {}
+        for config in WIRINGS_2D:
+            allow = build_mask(layout, config).allow[np.ix_(keep, keep)]
+            attn = naive_attention(q, k, v, allow).out
+            expected = attn.transpose(0, 2, 1, 3).reshape(b, s, c) @ weights.wo
+            v_out, a_out = outs[config] = config_layer_forward(xv, ca, layout, config, weights)
+            assert v_out.shape == xv.shape and a_out.shape == ca.shape
+            assert np.max(np.abs(v_out - expected[:, : layout.video_len]), initial=0.0) <= 1e-12
+            if config is SELF:
+                assert np.max(np.abs(a_out - expected[:, layout.video_len :]), initial=0.0) <= 1e-12
+            else:
+                assert a_out.tobytes() == ca.tobytes()
+        assert outs[FROZEN][0].tobytes() == outs[SELF][0].tobytes()
+
+    @pytest.mark.parametrize("config", WIRINGS_2D, ids=lambda c: c.value)
+    def test_others_tokens_change_nothing(self, config):
+        weights = seeded_projection_set(8, 2, 3, np.float64)
+        xv, ca = self._streams(TokenLayout(3, 4, 2), 8, 600, np.float64, b=2)
+        plain = config_layer_forward(xv, ca, TokenLayout(3, 4, 2, 0), config, weights)
+        with_others = config_layer_forward(xv, ca, TokenLayout(3, 4, 2, 5), config, weights)
+        assert [x.tobytes() for x in plain] == [x.tobytes() for x in with_others]
+
+    @pytest.mark.parametrize("config", WIRINGS_2D, ids=lambda c: c.value)
+    @pytest.mark.parametrize("n,l", [(0, 2), (4, 0)])
+    def test_empty_segment_keeps_output_shapes(self, config, n, l):
+        layout = TokenLayout(3, n, l)
+        weights = seeded_projection_set(8, 2, 4, np.float64)
+        xv, ca = self._streams(layout, 8, 700, np.float64, b=2)
+        v_out, a_out = config_layer_forward(xv, ca, layout, config, weights)
+        assert (v_out.shape, a_out.shape) == (xv.shape, ca.shape) == ((2, 3 * n, 8), (2, 3 * l, 8))
+        if config is CROSS and l == 0:  # video queries see no keys
+            assert v_out.size and not v_out.any()
+        else:
+            assert np.all(np.isfinite(v_out)) and np.all(np.isfinite(a_out))
+
     def test_wrong_config_rejected(self):
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
         weights = seeded_projection_set(8, 2, 1)
@@ -452,6 +552,16 @@ class TestPeakMemory:
             + self.ROW_STATE * b * h * s
         )
         assert out.nbytes == b * h * s * d * self.ITEM
+        assert peak <= law, (peak, law)
+
+    def test_writing_block_holds_no_partial(self):
+        # Without audio the plan is one dense block, which the kernel writes
+        # straight into the output rows.
+        layout = TokenLayout(frames=16, video_per_frame=256, audio_per_frame=0, others_len=256)
+        b, h, d, s = 1, 2, 64, layout.total_len
+        q, k, v = _qkv(layout, 94, heads=h, head_dim=d)
+        _, peak = measure_peak_bytes(lambda: masked3d_forward(q, k, v, layout))
+        law = b * h * s * (d + 1) * self.ITEM + self.KERNEL + self.ROW_STATE * b * h * s
         assert peak <= law, (peak, law)
 
     def test_self_attn_2d_holds_four_projections(self):
