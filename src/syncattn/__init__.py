@@ -27,7 +27,6 @@ from .reference import finite_diff_check, naive_attention, naive_backward
 from .rope import FreqSchedule, apply_rope, assign_coords, diagonal_1d_equivalence
 from .topology import (
     InjectionConfig,
-    MaskSpec,
     ProjectionSet,
     build_mask,
     config_layer_forward,
@@ -44,7 +43,6 @@ __all__ = [
     "FreqSchedule",
     "GoldenFileError",
     "InjectionConfig",
-    "MaskSpec",
     "ProjectionSet",
     "TileConfig",
     "TokenLayout",

@@ -22,10 +22,10 @@ __all__ = ["GradCheckReport", "finite_diff_check", "naive_attention", "naive_bac
 
 
 def _as_allow(mask, s_q: int, s_k: int) -> np.ndarray | None:
-    """Accept a bare boolean matrix or anything exposing an ``allow`` matrix."""
+    """Check that an optional mask is a boolean (s_q, s_k) matrix."""
     if mask is None:
         return None
-    allow = np.asarray(getattr(mask, "allow", mask))
+    allow = np.asarray(mask)
     if allow.shape != (s_q, s_k) or allow.dtype != np.bool_:
         raise ValueError(
             f"mask must be a boolean ({s_q}, {s_k}) matrix, got {allow.dtype} {allow.shape}"
@@ -63,10 +63,9 @@ def naive_attention(q, k, v, mask=None) -> AttnPartial:
 
     Args:
         q, k, v: (B, H, S_q, D) / (B, H, S_k, D) tensors of one precision.
-        mask: optional boolean (S_q, S_k) permission matrix (or an object
-            with an ``allow`` attribute holding one); True means the query
-            row may attend to the key column.  The same mask applies to
-            every (batch, head) pair.
+        mask: optional boolean (S_q, S_k) permission matrix; True means
+            the query row may attend to the key column.  The same mask
+            applies to every (batch, head) pair.
 
     Rows whose keys are all masked (or S_k == 0) return an exactly-zero
     output row and ``lse = -inf``.

@@ -145,7 +145,7 @@ def assign_coords(
 
 
 def _rotate_segment(seg64: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Paired-half rotation of one axis segment; angles is (tokens, d/2)."""
+    """Paired-half rotation of the last axis; angles is (d/2,) or (tokens, d/2)."""
     half = seg64.shape[-1] // 2
     cos = np.cos(angles)
     sin = np.sin(angles)
@@ -182,16 +182,6 @@ def apply_rope(tensor: np.ndarray, coords: np.ndarray, sched: FreqSchedule) -> n
         pieces.append(_rotate_segment(x64[..., offset : offset + d], angles))
         offset += d
     return np.concatenate(pieces, axis=-1).astype(tensor.dtype)
-
-
-def _rotate_1d(vec64: np.ndarray, position: float, freqs: np.ndarray) -> np.ndarray:
-    """Standard 1-D rotary embedding (paired-half) of a flat vector."""
-    angles = position * freqs
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    half = vec64.size // 2
-    u1, u2 = vec64[:half], vec64[half:]
-    return np.concatenate([u1 * cos - u2 * sin, u1 * sin + u2 * cos])
 
 
 @dataclass(frozen=True)
@@ -242,15 +232,15 @@ def diagonal_1d_equivalence(
         perm[half_x + j + width // 2] = d_x + j + d_y // 2
 
     def rot2d(vec: np.ndarray, n: int) -> np.ndarray:
-        x_part = _rotate_1d(vec[:d_x], n, sched.freqs_x)
-        y_part = _rotate_1d(vec[d_x:], n, sched.freqs_y)
+        x_part = _rotate_segment(vec[:d_x], n * sched.freqs_x)
+        y_part = _rotate_segment(vec[d_x:], n * sched.freqs_y)
         return np.concatenate([x_part, y_part])
 
     def rot1d(vec: np.ndarray, n: int) -> np.ndarray:
         # rotate in the 1-D dimension order, then scatter back to the 2-D
         # order so both schemes' scores sum their terms identically
         natural = np.empty(width)
-        natural[perm] = _rotate_1d(vec[perm], n, combined)
+        natural[perm] = _rotate_segment(vec[perm], n * combined)
         return natural
 
     gen = np.random.Generator(np.random.Philox(seed))

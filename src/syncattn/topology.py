@@ -46,7 +46,6 @@ from .merge import merge_partials
 __all__ = [
     "Block",
     "InjectionConfig",
-    "MaskSpec",
     "ProjectionSet",
     "block_plan",
     "build_mask",
@@ -65,18 +64,6 @@ class InjectionConfig(Enum):
     SELF_ATTN_2D = "self_attn_2d"
     FULL_3D = "full_3d"
     MASKED_3D = "masked_3d"
-
-
-@dataclass(frozen=True)
-class MaskSpec:
-    """Boolean attention-permission matrix over a packed layout.
-
-    ``allow[i, j]`` is True when query token i may attend to key token j.
-    The matrix depends only on token positions, never on batch or head.
-    """
-
-    layout: TokenLayout
-    allow: np.ndarray  # (total_len, total_len) bool
 
 
 class Block(NamedTuple):
@@ -119,19 +106,24 @@ def block_plan(layout: TokenLayout, config: InjectionConfig) -> list[Block]:
     return [blk for blk in blocks if blk.cu_q[-1] > 0 and blk.cu_k[-1] > 0]
 
 
-def build_mask(layout: TokenLayout, config: InjectionConfig) -> MaskSpec:
-    """Permission matrix of any wiring: the union of its plan's groups."""
+def build_mask(layout: TokenLayout, config: InjectionConfig) -> np.ndarray:
+    """Permission matrix of any wiring: the union of its plan's groups.
+
+    Returns a (total_len, total_len) bool matrix ``allow``: ``allow[i, j]``
+    is True when query token i may attend to key token j.  It depends only
+    on token positions, never on batch or head.
+    """
     allow = np.zeros((layout.total_len, layout.total_len), dtype=bool)
     for blk in block_plan(layout, config):
         sub = allow[blk.rows, blk.cols]
         for q0, q1, k0, k1 in zip(blk.cu_q[:-1], blk.cu_q[1:], blk.cu_k[:-1], blk.cu_k[1:]):
             sub[q0:q1, k0:k1] = True
-    return MaskSpec(layout, allow)
+    return allow
 
 
-def mask_to_text(spec: MaskSpec) -> str:
+def mask_to_text(allow: np.ndarray) -> str:
     """Textual bitmap of a mask: '#' for allowed, '.' for blocked, row per line."""
-    rows = ["".join("#" if a else "." for a in row) for row in spec.allow]
+    rows = ["".join("#" if a else "." for a in row) for row in allow]
     return "\n".join(rows)
 
 

@@ -334,7 +334,7 @@ def test_criterion_8_performance_separation():
         case = BenchCase(layout=layout, batch=1, heads=1, head_dim=64,
                          precision=np.float32, seed=5, repeats=3)
         for impl in ("naive", "decomposed"):
-            rec = run_case(case, impl, measure=False)
+            rec = run_case(case, impl)
             assert rec.status == "ok"
             peaks[impl].append(rec.peak_bytes)
     naive_ratios = [b / a for a, b in zip(peaks["naive"], peaks["naive"][1:])]

@@ -1,27 +1,27 @@
 """End-to-end CLI behavior: exit codes, output formats, golden workflows."""
 
-import csv
-import io
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from syncattn.cli import _row_segment, main
+from syncattn.cli import _row_segment, build_parser, main
 from syncattn.core import TokenLayout, seeded_random_tensor
+from syncattn.golden_suites import SUITES
 from syncattn.kernel import TileConfig
 from syncattn.reference import naive_attention
 from syncattn.topology import InjectionConfig, build_mask, masked3d_forward
 
 CLI = [sys.executable, "-m", "syncattn"]
-
-# Fields whose values vary run to run; everything else must be reproducible.
-TIMING_FIELDS = {"wall_ms_median", "wall_ms_p10", "wall_ms_p90", "peak_bytes"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Sizes that are not a tensor shape: a usage error (exit 2), not a tolerance breach.
-BAD_SIZES = [("--heads", "-1"), ("--head-dim", "-1"), ("--head-dim", "0"), ("--batch", "-1")]
+BAD_SIZES = [("--heads", "-1"), ("--head-dim", "-1"), ("--head-dim", "0"), ("--batch", "-1"),
+             ("--seed", "-1")]
 
 
 def run_cli(*args, **kwargs):
@@ -98,7 +98,7 @@ class TestBench:
     BENCH_ARGS = [
         "bench", "--frames", "2", "--video-tokens", "8", "--audio-tokens", "2",
         "--others", "4", "--heads", "2", "--head-dim", "8",
-        "--repeats", "3", "--impl", "both", "--validate", "--seed", "5",
+        "--repeats", "3", "--impl", "both", "--seed", "5",
     ]
 
     def test_repeats_below_three_rejected(self):
@@ -119,23 +119,9 @@ class TestBench:
         for rec in records:
             assert rec["repeats"] == 3
             assert rec["status"] == "ok"
-            assert rec["max_abs_diff"] <= 1e-5
+            assert "max_abs_diff" not in rec
             assert rec["wall_ms_median"] > 0
             assert rec["peak_bytes"] > 0
-
-    def test_jsonl_and_csv_carry_the_same_payload(self):
-        jsonl = run_cli(*self.BENCH_ARGS, "--output", "jsonl")
-        csv_out = run_cli(*self.BENCH_ARGS, "--output", "csv")
-        assert jsonl.returncode == 0 and csv_out.returncode == 0
-
-        json_records = [json.loads(line) for line in jsonl.stdout.splitlines()]
-        csv_records = list(csv.DictReader(io.StringIO(csv_out.stdout)))
-        assert len(json_records) == len(csv_records) == 2
-        for jr, cr in zip(json_records, csv_records):
-            for key, value in jr.items():
-                if key in TIMING_FIELDS:
-                    continue
-                assert str(value) == cr[key], key
 
     def test_default_tiles_are_the_kernel_defaults(self):
         proc = run_cli(
@@ -146,19 +132,10 @@ class TestBench:
         rec = json.loads(proc.stdout.splitlines()[0])
         assert (rec["q_block"], rec["k_block"]) == (TileConfig().q_block, TileConfig().k_block)
 
-    def test_diff_absent_without_validate(self):
-        proc = run_cli(
-            "bench", "--frames", "2", "--video-tokens", "4", "--audio-tokens", "1",
-            "--repeats", "3", "--impl", "decomposed",
-        )
-        assert proc.returncode == 0
-        rec = json.loads(proc.stdout.splitlines()[0])
-        assert "max_abs_diff" not in rec
-
 
 class TestGolden:
     def test_generate_then_check(self, tmp_path):
-        for suite in ("attention", "merge", "rope", "flow", "masked3d"):
+        for suite in SUITES:
             gen = run_cli("golden", "generate", "--path", str(tmp_path), "--suite", suite)
             assert gen.returncode == 0, gen.stderr
             chk = run_cli("golden", "check", "--path", str(tmp_path), "--suite", suite)
@@ -196,3 +173,22 @@ class TestMainEntry:
         code = main(["validate", "--frames", "2", "--video-tokens", "4", "--audio-tokens", "2"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def _readme_cli_commands() -> list[str]:
+    """The ``syncattn ...`` commands of README's CLI code block, continuations joined."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("syncattn ")]
+
+
+class TestReadme:
+    def test_cli_commands_parse(self):
+        commands = _readme_cli_commands()
+        assert {shlex.split(c)[1] for c in commands} == {"validate", "bench", "golden"}
+        for command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                raise AssertionError(f"README command does not parse: {command}") from None

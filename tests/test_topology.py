@@ -156,14 +156,14 @@ class TestBlockPlan:
 class TestBuildMask:
     def test_full3d_all_true(self):
         layout = TokenLayout(frames=2, video_per_frame=3, audio_per_frame=2, others_len=4)
-        spec = build_mask(layout, InjectionConfig.FULL_3D)
-        assert spec.allow.all()
-        assert spec.allow.shape == (layout.total_len, layout.total_len)
+        allow = build_mask(layout, InjectionConfig.FULL_3D)
+        assert allow.all()
+        assert allow.shape == (layout.total_len, layout.total_len) and allow.dtype == np.bool_
 
     def test_masked3d_six_token_enumeration(self):
         # Tokens: v00 v01 v10 v11 a0 a1.
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
-        allow = build_mask(layout, InjectionConfig.MASKED_3D).allow
+        allow = build_mask(layout, InjectionConfig.MASKED_3D)
         expected = np.array(
             [
                 # v00   v01   v10   v11   a0     a1
@@ -179,7 +179,7 @@ class TestBuildMask:
 
     def test_single_frame_no_others_is_all_true(self):
         layout = TokenLayout(frames=1, video_per_frame=5, audio_per_frame=3, others_len=0)
-        assert build_mask(layout, InjectionConfig.MASKED_3D).allow.all()
+        assert build_mask(layout, InjectionConfig.MASKED_3D).all()
 
     def test_matches_per_pair_rule(self):
         for layout in [
@@ -189,7 +189,7 @@ class TestBuildMask:
             TokenLayout(2, 3, 1, 0),
         ]:
             for config in InjectionConfig:
-                got = build_mask(layout, config).allow
+                got = build_mask(layout, config)
                 np.testing.assert_array_equal(got, _expected_allow(layout, config), err_msg=f"{layout} {config}")
 
     def test_text_bitmap(self):
@@ -291,7 +291,7 @@ class TestMasked3dForward:
         # cu_seqlens plumbing the forward uses.
         layout = TokenLayout(frames=3, video_per_frame=3, audio_per_frame=2, others_len=4)
         video, others, audio = segment_offsets(layout)
-        allow = build_mask(layout, InjectionConfig.MASKED_3D).allow
+        allow = build_mask(layout, InjectionConfig.MASKED_3D)
 
         cu_n = per_frame_cu_seqlens(layout.video_per_frame, layout.frames)
         cu_l = per_frame_cu_seqlens(layout.audio_per_frame, layout.frames)
@@ -430,7 +430,7 @@ class TestConfigLayerForward:
                 (x @ w).reshape(b, s, heads, c // heads).transpose(0, 2, 1, 3)
             )
 
-        allow = build_mask(layout, InjectionConfig.MASKED_3D).allow.copy()
+        allow = build_mask(layout, InjectionConfig.MASKED_3D).copy()
         video_frame = np.arange(f * n) // n
         restrict = video_frame[:, None] == video_frame[None, :]
         allow[: f * n, : f * n] &= restrict
@@ -476,7 +476,7 @@ class TestConfigLayerForward:
         q, k, v = (project(w) for w in (weights.wq, weights.wk, weights.wv))
         outs = {}
         for config in WIRINGS_2D:
-            allow = build_mask(layout, config).allow[np.ix_(keep, keep)]
+            allow = build_mask(layout, config)[np.ix_(keep, keep)]
             attn = naive_attention(q, k, v, allow).out
             expected = attn.transpose(0, 2, 1, 3).reshape(b, s, c) @ weights.wo
             v_out, a_out = outs[config] = config_layer_forward(xv, ca, layout, config, weights)
