@@ -108,7 +108,11 @@ def per_frame_cu_seqlens(count_per_frame: int, frames: int) -> np.ndarray:
 
 def check_cu_seqlens(cu: np.ndarray, packed_len: int, name: str = "cu_seqlens") -> np.ndarray:
     """Validate a cumulative-boundary vector against its packed length."""
-    cu = np.asarray(cu, dtype=np.int64)
+    raw = np.asarray(cu)
+    with np.errstate(invalid="ignore"):
+        cu = raw.astype(np.int64)
+    if not np.array_equal(cu, raw):
+        raise ValueError(f"{name} must hold integer boundaries, got {raw}")
     if cu.ndim != 1 or cu.size < 1:
         raise ValueError(f"{name} must be a 1-D vector of at least one boundary")
     if cu[0] != 0:

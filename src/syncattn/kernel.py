@@ -23,22 +23,28 @@ order as it would with query blocks outermost, or alone in a stack of
 one, so results depend on the tile shape only, not on the loop order or
 the stacking.
 
-All tile arithmetic (matmuls, ``exp``, the softmax state) runs in the
-input precision, and ``acc`` and ``m`` are the output's own rows.  Memory
-per unit is O(S_q) for ``l`` plus one score tile of at most
-``q_block * k_block`` numbers and a PV product no larger (or, in a stack
-of one, ``q_block * head_dim``), independent of the key length.  Float32 rounds each score ``s`` to
-2**-24 relative, so its error against the float64 oracle grows with the
-logits: |out - oracle| <= 4 * 2**-24 * max|s| * max|v| (measured errors
-reach about half of 2**-24 * max|s| * max|v|), which stays under 1e-5 for
-ordinary inputs but reaches ~1e-3 at max|s| ~ 16 000.  The float32 lse
-obeys |lse - oracle| <= 8 * 2**-24 * (max|s| + log S_k) (measured up to
-3.8 * 2**-24 * (max|s| + log S_k)); the merges weight partials by
-exp(lse1 - lse), so this error reaches a merged output too.  Float64
-inputs keep the oracle's 1e-12 there.  Every reduction order is fixed,
-and stacks depend on ``cu_seqlens`` and the tiles alone, so results are
-bit-identical from run to run.  The dense call is the single-group case
-of the varlen call.
+A call folds its keys into the partial it is given, one unit at a time.
+A unit whose rows hold the empty partial (zeros, lse -inf) accumulates in
+them as ``acc`` and ``m``; any other unit runs in a scratch partial of its
+own size and then merges it into its rows through the lse, of which the
+empty partial is the exact identity.  All tile arithmetic (matmuls,
+``exp``, the softmax state) runs in the input precision.  Memory per unit
+is O(S_q) for ``l``, one score tile of at most ``q_block * k_block``
+numbers, a PV product no larger (or, in a stack of one,
+``q_block * head_dim``) and a merging unit's scratch partial, none of it
+growing with the key length.
+
+Float32 rounds each score ``s`` to 2**-24 relative, so its error against
+the float64 oracle grows with the logits: |out - oracle| <= 4 * 2**-24 *
+max|s| * max|v| (measured errors reach about half of that), which stays
+under 1e-5 for ordinary inputs but reaches ~1e-3 at max|s| ~ 16 000.  The
+float32 lse obeys |lse - oracle| <= 8 * 2**-24 * (max|s| + log S_k)
+(measured up to 3.8 * 2**-24 * (max|s| + log S_k)); the merges weight
+partials by exp(lse1 - lse), so this error reaches a merged output too.
+Float64 inputs keep the oracle's 1e-12 there.  Every reduction order is
+fixed, and stacks depend on ``cu_seqlens`` and the tiles alone, so
+results are bit-identical from run to run.  The dense call is the
+single-group case of the varlen call.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AttnPartial, check_cu_seqlens, check_qkv
+from .merge import merge_partials
 
 __all__ = ["TileConfig", "flash_forward", "flash_varlen_forward"]
 
@@ -69,11 +76,10 @@ class TileConfig:
 
 
 def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
-    """Stream each key tile of a stack of G equal groups once past all its
-    query blocks, accumulating in place into the stack's ``out`` (zeros,
-    (G, S_q, D)) and ``lse`` (-inf, (G, S_q)) rows, which double as ``acc``
-    and ``m``.  Every product, reduction and ``exp`` carries the leading G
-    axis, so the stack lives in one score tile of (G, q rows, k rows)."""
+    """Stream each key tile of a stack of G equal groups once past all its query
+    blocks, accumulating in place into the empty partial ``out`` (zeros, (G, S_q, D))
+    and ``lse`` (-inf, (G, S_q)), which double as ``acc`` and ``m``.  Every product,
+    reduction and ``exp`` carries the G axis, so the stack lives in one score tile."""
     g, s_q, d = q_grp.shape
     s_k = k_grp.shape[1]
     scale = q_grp.dtype.type(1.0 / np.sqrt(d))
@@ -111,10 +117,25 @@ def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
     input returns the empty partial (zero output, lse = -inf everywhere).
     This is :func:`flash_varlen_forward` with one group spanning all rows.
     """
-    # The varlen call runs the one check_qkv, which rejects other ranks
-    # before the group bounds are read.
+    # The varlen call's one check_qkv rejects other ranks before the bounds are read.
     s_q, s_k = (np.shape(x)[2] if np.ndim(x) == 4 else 0 for x in (q, k))
     return flash_varlen_forward(q, k, v, [0, s_q], [0, s_k], tile)
+
+
+def _stacks(cu_q, cu_k, d: int, tile: TileConfig) -> list[tuple[int, int, int, int, int]]:
+    """Units of a varlen call as (q0, k0, S_q, S_k, G): runs of adjacent groups of
+    one (S_q, S_k) with queries and keys, cut into stacks whose score tile and PV
+    product each hold at most q_block * k_block numbers; (0, 0) groups split no run."""
+    g = np.flatnonzero(np.diff(cu_q) + np.diff(cu_k))
+    q0, k0, sq, sk = cu_q[g], cu_k[g], cu_q[g + 1] - cu_q[g], cu_k[g + 1] - cu_k[g]
+    first = np.flatnonzero(np.diff(sq, prepend=-1) | np.diff(sk, prepend=-1)).tolist()
+    stacks = []
+    for a, z in zip(first, first[1:] + [g.size]):
+        s_q, s_k = int(sq[a]), int(sk[a])
+        if s_q and s_k:
+            cap = max(1, tile.q_block * tile.k_block // (min(s_q, tile.q_block) * max(min(s_k, tile.k_block), d)))
+            stacks += [(int(q0[i]), int(k0[i]), s_q, s_k, min(cap, z - i)) for i in range(a, z, cap)]
+    return stacks
 
 
 def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), out=None) -> AttnPartial:
@@ -127,10 +148,11 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     adjacent equal groups run as one stack.  Queries of a zero-key group
     get zero output and lse = -inf.
 
-    ``out``, if given, is the destination ``AttnPartial``: arrays of shape
-    (B, H, S_q, D) and (B, H, S_q) in q's dtype, possibly strided views of
-    larger arrays.  The kernel zero-fills them, sets lse to -inf, runs the
-    same arithmetic in them and returns ``out`` itself.
+    ``out``, if given, must hold a partial: arrays of shape (B, H, S_q, D)
+    and (B, H, S_q) in q's dtype, possibly strided views of larger arrays.
+    The call folds its keys into it, as ``merge_partials(out, fresh)``
+    would, and returns it; a unit merging into rows that are not empty adds
+    one unit-sized scratch partial.  ``out=None`` is a fresh empty partial.
     """
     q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
@@ -140,37 +162,20 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
 
     b, h, s_q, d = q.shape
     if out is None:
-        out = AttnPartial(np.empty((b, h, s_q, d), q.dtype), np.empty((b, h, s_q), q.dtype))
+        out = AttnPartial(np.zeros((b, h, s_q, d), q.dtype), np.full((b, h, s_q), -np.inf, q.dtype))
     for arr, shape in zip(out, ((b, h, s_q, d), (b, h, s_q))):
         if arr.shape != shape or arr.dtype != q.dtype:
             raise ValueError(f"out arrays must be {shape} {q.dtype}, got {arr.shape} {arr.dtype}")
-    o, lse = out
-    o[...], lse[...] = 0, -np.inf
-
-    # Stacks: runs of adjacent non-empty groups of one (S_q, S_k), each
-    # capped so that its score tile and its PV product (G, rows, D) each
-    # hold at most q_block * k_block numbers.
-    budget = tile.q_block * tile.k_block
-    stacks = []  # [q0, k0, S_q, S_k, G]
-    for g in range(cu_q.size - 1):
-        q0, k0 = int(cu_q[g]), int(cu_k[g])
-        sq, sk = int(cu_q[g + 1]) - q0, int(cu_k[g + 1]) - k0
-        if sq == 0 or sk == 0:
-            continue
-        if stacks:
-            p_q0, p_k0, p_sq, p_sk, n = stacks[-1]
-            if ((p_sq, p_sk, p_q0 + n * sq, p_k0 + n * sk) == (sq, sk, q0, k0)
-                    and (n + 1) * min(sq, tile.q_block) * max(min(sk, tile.k_block), d) <= budget):
-                stacks[-1][4] += 1
-                continue
-        stacks.append([q0, k0, sq, sk, 1])
+    stacks = _stacks(cu_q, cu_k, d, tile)
     for bi in range(b):
         for hi in range(h):
             for q0, k0, sq, sk, n in stacks:
                 rows, cols = slice(q0, q0 + n * sq), slice(k0, k0 + n * sk)
-                _flash_group(
-                    q[bi, hi, rows].reshape(n, sq, d), k[bi, hi, cols].reshape(n, sk, d),
-                    v[bi, hi, cols].reshape(n, sk, d), o[bi, hi, rows].reshape(n, sq, d),
-                    lse[bi, hi, rows].reshape(n, sq), tile,
-                )
+                dest = AttnPartial(out.out[bi, hi, rows], out.lse[bi, hi, rows])  # (rows, D): one merge step
+                empty = np.isneginf(dest.lse).all()
+                part = dest if empty else AttnPartial(np.zeros((n * sq, d), q.dtype), np.full(n * sq, -np.inf, q.dtype))
+                _flash_group(q[bi, hi, rows].reshape(n, sq, d), k[bi, hi, cols].reshape(n, sk, d),
+                             v[bi, hi, cols].reshape(n, sk, d), part.out.reshape(n, sq, d), part.lse.reshape(n, sq), tile)
+                if not empty:
+                    merge_partials(dest, part, out=dest)
     return out

@@ -36,9 +36,8 @@ def _as_allow(mask, s_q: int, s_k: int) -> np.ndarray | None:
 def _masked_probabilities(q2, k2, allow):
     """Softmax matrix and lse for one (batch, head) slice, float64.
 
-    Returns ``(p, lse, empty)`` where ``p`` is the row-stochastic score
-    matrix with zero rows where every key is masked, and ``empty`` flags
-    those all-masked rows.
+    Returns ``(p, lse)`` where ``p`` is the row-stochastic score matrix
+    with zero rows, and lse = -inf, where every key is masked.
     """
     d = q2.shape[-1]
     scale = 1.0 / np.sqrt(d)
@@ -46,8 +45,7 @@ def _masked_probabilities(q2, k2, allow):
     if allow is not None:
         s = np.where(allow, s, -np.inf)
     if s.shape[1] == 0:
-        empty = np.ones(s.shape[0], dtype=bool)
-        return np.zeros_like(s), np.full(s.shape[0], -np.inf), empty
+        return np.zeros_like(s), np.full(s.shape[0], -np.inf)
     m = np.max(s, axis=1)
     empty = np.isneginf(m)
     m_safe = np.where(empty, 0.0, m)
@@ -55,7 +53,7 @@ def _masked_probabilities(q2, k2, allow):
     denom = p.sum(axis=1)
     denom_safe = np.where(empty, 1.0, denom)
     lse = np.where(empty, -np.inf, m_safe + np.log(denom_safe))
-    return p / denom_safe[:, None], lse, empty
+    return p / denom_safe[:, None], lse
 
 
 def naive_attention(q, k, v, mask=None) -> AttnPartial:
@@ -79,7 +77,7 @@ def naive_attention(q, k, v, mask=None) -> AttnPartial:
     lse = np.empty((b, h, s_q), dtype=q.dtype)
     for bi in range(b):
         for hi in range(h):
-            p, lse64, _ = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
+            p, lse64 = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
             out[bi, hi] = p @ v[bi, hi].astype(np.float64)
             lse[bi, hi] = lse64
     return AttnPartial(out, lse)
@@ -111,7 +109,7 @@ def naive_backward(q, k, v, dout, mask=None):
     dv = np.empty_like(v)
     for bi in range(b):
         for hi in range(h):
-            p, _, _ = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
+            p, _ = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
             do64 = dout[bi, hi].astype(np.float64)
             dp = do64 @ v[bi, hi].astype(np.float64).T
             ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True))

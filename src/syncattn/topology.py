@@ -19,8 +19,8 @@ wirings never touch others tokens, and SELF_ATTN_2D* is both
 self-attention wirings (frozen or updated audio).  ``block_plan`` states
 this rule once, as blocks of query rows and per-group key columns.
 ``build_mask`` materializes it; the forward paths never do: ``_run_plan``
-runs the streaming kernel once per block and recombines the partial
-results exactly through their LogSumExp statistics.
+runs the streaming kernel once per block, and each call folds its partial
+result into the output exactly through the LogSumExp statistics.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from .core import (
     seeded_random_tensor,
     segment_offsets,
 )
-# Unused flash_forward stays: benchmark/spans.py wraps that name in this module.
+# Unused flash_forward and merge_partials stay: benchmark/spans.py wraps both names here.
 from .kernel import TileConfig, flash_forward, flash_varlen_forward  # noqa: F401
-from .merge import merge_partials
+from .merge import merge_partials  # noqa: F401
 
 __all__ = [
     "Block",
@@ -132,10 +132,8 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
 
     Inputs are packed in the fixed segment order of ``layout`` and the
     sequence axis must equal ``layout.total_len``.  Runs the MASKED_3D
-    ``block_plan``: the dense video+others block writes, video->audio
-    merges into its video rows, audio->video writes the audio rows and
-    audio->audio merges into them.  Equals naive attention under the
-    MASKED_3D permission matrix.
+    ``block_plan``.  Equals naive attention under the MASKED_3D
+    permission matrix.
     """
     q, k, v = check_qkv(q, k, v)
     if q.shape != k.shape:
@@ -148,25 +146,19 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
 def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
     """Attention output of q's rows under ``plan``, one kernel call per block.
 
-    Blocks run in plan order over views of q's rows and k's and v's
-    columns.  A block's kernel call writes straight into its output and lse
-    rows; if an earlier block wrote them (finite lse), the block's partial
-    is merged into them in place through the lse instead, which is exact
-    as blocks hold disjoint keys.  Rows no block covers stay zero.  Peak
-    transient memory is the output and lse, the largest merging block's
-    partial, one (S_q, D) merge temporary, the kernel's score tile and PV
-    product (each at most ``q_block * k_block`` numbers), and O(rows) lse
-    weights.
+    One rule for every block: in plan order, its kernel call over views of
+    q's rows and k's and v's columns folds its keys into the output and lse
+    rows, which start as the empty partial; the merge is exact as blocks
+    hold disjoint keys.  Rows no block covers stay zero.  Peak transient
+    memory is the output and lse, one kernel unit's scratch partial and
+    (rows, D) merge temporary, the kernel's score tile and PV product (each
+    at most ``q_block * k_block`` numbers), and O(rows) lse weights.
     """
     out, lse = np.zeros(q.shape, q.dtype), np.full(q.shape[:3], -np.inf, q.dtype)
     for blk in plan:
         rows, cols = np.s_[:, :, blk.rows], np.s_[:, :, blk.cols]
-        here = AttnPartial(out[rows], lse[rows])
-        call = (q[rows], k[cols], v[cols], blk.cu_q, blk.cu_k, tile)
-        if np.isfinite(here.lse).any():  # an earlier block wrote these rows
-            merge_partials(here, flash_varlen_forward(*call), out=here)  # the partial dies here
-        else:
-            flash_varlen_forward(*call, out=here)
+        flash_varlen_forward(q[rows], k[cols], v[cols], blk.cu_q, blk.cu_k, tile,
+                             out=AttnPartial(out[rows], lse[rows]))
     return out
 
 

@@ -7,6 +7,7 @@ from syncattn import kernel
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import AttnPartial, TokenLayout, per_frame_cu_seqlens, seeded_random_tensor
 from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
+from syncattn.merge import merge_partials
 from syncattn.reference import naive_attention
 from syncattn.topology import InjectionConfig, block_plan, build_mask, masked3d_forward
 
@@ -300,6 +301,51 @@ class TestFlashVarlen:
         one, many = transient(1), transient(16)
         assert many <= 1.1 * one, (one, many)
 
+    def test_stacking_rule_matches_the_group_loop(self):
+        # The reference: one pass over the groups, growing the last stack
+        # while the next non-empty group continues it and fits the budget.
+        def loop(cu_q, cu_k, d, tile):
+            stacks = []
+            for q0, q1, k0, k1 in zip(cu_q[:-1].tolist(), cu_q[1:].tolist(), cu_k[:-1].tolist(), cu_k[1:].tolist()):
+                sq, sk = q1 - q0, k1 - k0
+                if sq == 0 or sk == 0:
+                    continue
+                if stacks:
+                    p_q0, p_k0, p_sq, p_sk, n = stacks[-1]
+                    if ((p_sq, p_sk, p_q0 + n * sq, p_k0 + n * sk) == (sq, sk, q0, k0) and (n + 1)
+                            * min(sq, tile.q_block) * max(min(sk, tile.k_block), d) <= tile.q_block * tile.k_block):
+                        stacks[-1] = (p_q0, p_k0, sq, sk, n + 1)
+                        continue
+                stacks.append((q0, k0, sq, sk, 1))
+            return stacks
+
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            groups = int(rng.integers(0, 40))
+            sizes = rng.integers(0, 6, size=(3, 2))[rng.integers(0, 3, size=groups)]  # three (S_q, S_k): runs
+            cu_q, cu_k = (np.concatenate([[0], np.cumsum(sizes[:, i])]) for i in (0, 1))
+            tile, d = TileConfig(*map(int, rng.integers(1, 9, size=2))), int(rng.integers(1, 5))
+            assert kernel._stacks(cu_q, cu_k, d, tile) == loop(cu_q, cu_k, d, tile)
+
+    def test_long_clip_runs_four_units_per_head(self, monkeypatch):
+        # The benchmark's long_clip layout: the dense block, then each
+        # per-frame block's 256 equal groups as one stack.
+        layout = TokenLayout(frames=256, video_per_frame=4, audio_per_frame=8, others_len=16)
+        heads = 2
+        q, k, v = _qkv(83, (1, heads, layout.total_len, 64), (1, heads, layout.total_len, 64))
+        stacks, run_stack = [], kernel._flash_group
+        monkeypatch.setattr(kernel, "_flash_group", lambda q_grp, *rest: stacks.append(len(q_grp)) or run_stack(q_grp, *rest))
+        masked3d_forward(q, k, v, layout)
+        assert stacks == [1] * heads + [256] * 3 * heads
+
+    def test_non_integer_boundaries_rejected(self):
+        q, k, v = _qkv(43, (1, 1, 3, 8), (1, 1, 3, 8))
+        for bad in ([0, 1.5, 3], [0, np.nan, 3], [0, np.inf, 3]):
+            with pytest.raises(ValueError, match="integer boundaries"):
+                flash_varlen_forward(q, k, v, bad, bad)
+        whole = flash_varlen_forward(q, k, v, [0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
+        assert whole.out.tobytes() == flash_varlen_forward(q, k, v, [0, 1, 3], [0, 2, 3]).out.tobytes()
+
     def test_boundary_validation(self):
         q, k, v = _qkv(41, (1, 1, 6, 8), (1, 1, 6, 8))
         with pytest.raises(ValueError, match="packed length"):
@@ -311,7 +357,7 @@ class TestFlashVarlen:
 
 
 class TestVarlenOut:
-    """``flash_varlen_forward(..., out=...)`` writes into a given partial."""
+    """``flash_varlen_forward(..., out=...)`` folds into a given partial."""
 
     # Runs of equal groups (stacked), a zero-key group and a zero-query group.
     CU_Q = np.cumsum([0, 2, 2, 2, 2, 3, 1, 0])
@@ -321,15 +367,17 @@ class TestVarlenOut:
         return _qkv(71, (2, 2, self.CU_Q[-1], 6), (2, 2, self.CU_K[-1], 6), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_strided_views_get_the_fresh_result(self, dtype):
+    def test_folding_into_empty_strided_views_gives_the_fresh_result(self, dtype):
         q, k, v = self._inputs(dtype)
         tile = TileConfig(4, 3)
         fresh = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile)
-        # Every other row of a NaN buffer, inside a wider head dimension.
+        # The empty partial on every other row of a NaN buffer, inside a
+        # wider head dimension.
         big_out = np.full((2, 2, 2 * q.shape[2] + 3, 8), np.nan, dtype)
         big_lse = np.full((2, 2, 2 * q.shape[2] + 3), np.nan, dtype)
         rows = slice(3, 3 + 2 * q.shape[2], 2)
         dest = AttnPartial(big_out[:, :, rows, 1:7], big_lse[:, :, rows])
+        dest.out[...], dest.lse[...] = 0, -np.inf
         assert not dest.out.flags.c_contiguous
         got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile, out=dest)
         assert got is dest
@@ -341,6 +389,28 @@ class TestVarlenOut:
         outside_lse = np.ones(big_lse.shape, bool)
         outside_lse[:, :, rows] = False
         assert np.isnan(big_lse[outside_lse]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_folding_into_a_partial_merges(self, dtype):
+        q, k, v = self._inputs(dtype)
+        tile = TileConfig(4, 3)
+        fresh = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile)
+        # A prior partial over other keys: the units of groups 0, 1 and 5
+        # (one group each at these tiles) find empty rows, those of groups 2
+        # and 3 full rows, and group 2's first row is emptied as well.
+        cu_k2 = np.cumsum([0, 0, 0, 4, 2, 3, 0, 1])
+        k2, v2 = (seeded_random_tensor((2, 2, cu_k2[-1], 6), seed, dtype) for seed in (75, 76))
+        prior = flash_varlen_forward(q, k2, v2, self.CU_Q, cu_k2, tile)
+        prior.out[:, :, 4], prior.lse[:, :, 4] = 0, -np.inf
+        expected = merge_partials(prior, fresh)
+        kept = AttnPartial(prior.out.copy(), prior.lse.copy())
+        got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile, out=prior)
+        assert got is prior
+        assert got.out.tobytes() == expected.out.tobytes()
+        assert got.lse.tobytes() == expected.lse.tobytes()
+        zero_key_rows = slice(self.CU_Q[4], self.CU_Q[5])  # the 3-query group with no keys
+        assert got.out[:, :, zero_key_rows].tobytes() == kept.out[:, :, zero_key_rows].tobytes()
+        assert got.lse[:, :, zero_key_rows].tobytes() == kept.lse[:, :, zero_key_rows].tobytes()
 
     def test_wrong_shape_or_dtype_rejected(self):
         q, k, v = self._inputs(np.float32)

@@ -543,11 +543,14 @@ class TestPeakMemory:
         b, h, d, s = 1, 2, 64, layout.total_len
         q, k, v = _qkv(layout, 90, heads=h, head_dim=d)
         out, peak = measure_peak_bytes(lambda: masked3d_forward(q, k, v, layout))
-        rows = max(blk.rows.stop - blk.rows.start for blk in block_plan(layout, InjectionConfig.MASKED_3D))
+        # The largest merging unit is a stack of video -> audio frames,
+        # capped so that its PV product fits one default tile.
+        n = layout.video_per_frame
+        unit_rows = TileConfig().q_block * TileConfig().k_block // (n * d) * n
         law = (
             b * h * s * (d + 1) * self.ITEM  # out and lse
-            + b * h * rows * (d + 1) * self.ITEM  # the largest block's partial
-            + rows * d * self.ITEM  # one (S_q, D) merge temporary
+            + unit_rows * (d + 1) * self.ITEM  # one unit's scratch partial, for one (batch, head)
+            + unit_rows * d * self.ITEM  # the unit's (rows, D) merge temporary
             + self.KERNEL
             + self.ROW_STATE * b * h * s
         )
@@ -555,8 +558,8 @@ class TestPeakMemory:
         assert peak <= law, (peak, law)
 
     def test_writing_block_holds_no_partial(self):
-        # Without audio the plan is one dense block, which the kernel writes
-        # straight into the output rows.
+        # Without audio the plan is one dense block, which the kernel folds
+        # straight into the empty output rows.
         layout = TokenLayout(frames=16, video_per_frame=256, audio_per_frame=0, others_len=256)
         b, h, d, s = 1, 2, 64, layout.total_len
         q, k, v = _qkv(layout, 94, heads=h, head_dim=d)
