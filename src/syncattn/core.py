@@ -28,6 +28,7 @@ __all__ = [
     "TokenLayout",
     "check_attn_tensor",
     "check_cu_seqlens",
+    "check_finite",
     "check_qkv",
     "per_frame_cu_seqlens",
     "precision_name",
@@ -155,12 +156,17 @@ def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k.shape != v.shape:
         raise ValueError(f"k {k.shape} and v {v.shape} must match")
     for name, x in (("q", q), ("k", k), ("v", v)):
-        # NaN and +-inf reach the min or the max, so two reductions find
-        # them without a tensor-sized boolean mask; that is built on failure.
-        if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
-            where = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
-            raise ValueError(f"{name} has a non-finite value {x[where]} at (batch, head, row, col) {where}")
+        check_finite(x, name, "(batch, head, row, col)")
     return q, k, v
+
+
+def check_finite(x: np.ndarray, name: str, axes: str) -> None:
+    """Reject a NaN or inf in ``x``, naming the first one's index along ``axes``."""
+    # NaN and +-inf reach the min or the max, so two reductions find them
+    # without a tensor-sized boolean mask; that is built on failure.
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        raise ValueError(f"{name} has a non-finite value {x[where]} at {axes} {where}")
 
 
 class AttnPartial(NamedTuple):

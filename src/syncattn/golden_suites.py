@@ -117,8 +117,10 @@ def _masked3d_cases(dtype):
     return [("decomposed", decomposed)]
 
 
-def _wirings_cases(dtype):
-    def wiring(config):
+def _wirings_cases(configs):
+    """Cases of ``config_layer_forward`` under each of ``configs``, one suite."""
+
+    def wiring(config, dtype):
         def build():
             layout = TokenLayout(frames=3, video_per_frame=5, audio_per_frame=2)
             weights = seeded_projection_set(16, 2, 71, dtype)
@@ -129,8 +131,7 @@ def _wirings_cases(dtype):
 
         return build
 
-    configs = (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
-    return [(config.value, wiring(config)) for config in configs]
+    return lambda dtype: [(config.value, wiring(config, dtype)) for config in configs]
 
 
 def _both(cases):
@@ -145,7 +146,11 @@ SUITES = {
     "rope": _both(_rope_cases),
     "flow": _both(_flow_cases),
     "masked3d": _both(_masked3d_cases),
-    "wirings": _both(_wirings_cases),
+    "wirings": _both(_wirings_cases((InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO,
+                                     InjectionConfig.SELF_ATTN_2D))),
+    # Its own suite, not new cases in "wirings": a suite's goldens from an
+    # older commit, which had no such cases, must still check clean.
+    "wirings_3d": _both(_wirings_cases((InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D))),
 }
 
 

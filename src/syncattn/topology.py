@@ -20,7 +20,8 @@ self-attention wirings (frozen or updated audio).  ``block_plan`` states
 this rule once, as blocks of query rows and per-group key columns.
 ``build_mask`` materializes it; the forward paths never do: ``_run_plan``
 runs the streaming kernel once per block, and each call folds its partial
-result into the output exactly through the LogSumExp statistics.
+result into the output exactly through the LogSumExp statistics.  Its
+callers are ``masked3d_forward`` and the layer of any wiring.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .core import (
     AttnPartial,
     TokenLayout,
+    check_finite,
     check_qkv,
     per_frame_cu_seqlens,
     seeded_random_tensor,
@@ -146,17 +148,20 @@ def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig
 def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
     """Attention output of q's rows under ``plan``, one kernel call per block.
 
-    One rule for every block: in plan order, its kernel call over views of
-    q's rows and k's and v's columns folds its keys into the output and lse
-    rows, which start as the empty partial; the merge is exact as blocks
-    hold disjoint keys.  Rows no block covers stay zero.  Peak transient
-    memory is the output and lse, one kernel unit's scratch partial and
-    (rows, D) merge temporary, the kernel's score tile and PV product (each
-    at most ``q_block * k_block`` numbers), and O(rows) lse weights.
+    q holds the packed rows from the first, k and v the packed columns from
+    the first the plan reads.  One rule for every block: in plan order, its
+    kernel call over views of q's rows and k's and v's columns folds its
+    keys into the output and lse rows, which start as the empty partial;
+    the merge is exact as blocks hold disjoint keys.  Rows no block covers
+    stay zero.  Peak transient memory is the output and lse, one kernel
+    unit's scratch partial and (rows, D) merge temporary, the kernel's
+    score tile and PV product (each at most ``q_block * k_block``
+    numbers), and O(rows) lse weights.
     """
     out, lse = np.zeros(q.shape, q.dtype), np.full(q.shape[:3], -np.inf, q.dtype)
+    k0 = min((blk.cols.start for blk in plan), default=0)
     for blk in plan:
-        rows, cols = np.s_[:, :, blk.rows], np.s_[:, :, blk.cols]
+        rows, cols = np.s_[:, :, blk.rows], np.s_[:, :, blk.cols.start - k0:blk.cols.stop - k0]
         flash_varlen_forward(q[rows], k[cols], v[cols], blk.cu_q, blk.cu_k, tile,
                              out=AttnPartial(out[rows], lse[rows]))
     return out
@@ -214,56 +219,50 @@ def _join_heads(x: np.ndarray) -> np.ndarray:
 
 
 def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: InjectionConfig, weights: ProjectionSet):
-    """One per-frame attention layer in a flat 2D wiring.
+    """One attention layer over a video and an audio stream, in any wiring.
 
     Args:
         x_video: (B, F*N, model_dim) video stream, frame-major.
         c_audio: (B, F*L, model_dim) audio stream, frame-major.
-        layout: token layout (others tokens take no part in 2D wirings).
-        config: CROSS_ATTN_2D, SELF_ATTN_2D_FROZEN_AUDIO, or SELF_ATTN_2D.
+        layout: token layout; its others tokens take no part in the layer.
+        config: the wiring.
         weights: projections applied to queries, keys, values, and output.
 
-    Runs the wiring's ``block_plan``.  CROSS_ATTN_2D projects queries from
-    the video stream and keys and values from the audio stream, onto which
-    the plan's key columns are shifted; audio passes through unchanged.
-    The self-attention wirings project the stream packed frame-major as
-    [video_f, audio_f] and run the plan of ``TokenLayout(F, N + L)``, whose
-    one per-frame block holds the four per-frame blocks of video and audio:
-    one softmax per frame, no merge.  The frozen-audio wiring then drops
-    the updated audio for the original.
+    One rule for every wiring: pack the streams as [video | audio], project
+    queries over the rows the plan of ``TokenLayout(F, N, L)`` writes (and
+    every video row) and keys and values from the first column it reads,
+    run the plan, and unpack.  The self-attention wirings pack each frame's
+    [video_f, audio_f] instead and run the plan of ``TokenLayout(F, N + L)``:
+    one block group, so one softmax, per frame and no merge.  CROSS_ATTN_2D
+    and the frozen-audio wiring return the input audio.  A NaN or inf in
+    either stream is rejected, named by stream and (batch, row, channel).
 
-    Returns the updated (x_video, c_audio) pair, of the input shapes.  No
-    residual, norm, or MLP: this is the attention wiring alone.
+    Returns the updated (x_video, c_audio), of the input shapes and each in
+    its own memory: the attention wiring alone, with no residual, norm or MLP.
     """
-    x_video = np.asarray(x_video)
-    c_audio = np.asarray(c_audio)
-    f, n, l = layout.frames, layout.video_per_frame, layout.audio_per_frame
-    c = weights.model_dim
+    x_video, c_audio = np.asarray(x_video), np.asarray(c_audio)
+    f, n, l, c = layout.frames, layout.video_per_frame, layout.audio_per_frame, weights.model_dim
     if x_video.ndim != 3 or x_video.shape[1:] != (f * n, c):
         raise ValueError(f"x_video must be (B, {f * n}, {c}), got {x_video.shape}")
     if c_audio.ndim != 3 or c_audio.shape[1:] != (f * l, c) or c_audio.shape[0] != x_video.shape[0]:
         raise ValueError(f"c_audio must be ({x_video.shape[0]}, {f * l}, {c}), got {c_audio.shape}")
-    if config in (InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D):
-        raise ValueError(f"config_layer_forward does not execute {config}; use masked3d_forward")
+    check_finite(x_video, "x_video", "(batch, row, channel)")
+    check_finite(c_audio, "c_audio", "(batch, row, channel)")
     b, h = x_video.shape[0], weights.heads
-
-    if config is InjectionConfig.CROSS_ATTN_2D:
-        a0 = segment_offsets(layout)[2].start  # the plan's key columns, moved onto c_audio
-        plan = [blk._replace(cols=slice(blk.cols.start - a0, blk.cols.stop - a0))
-                for blk in block_plan(layout, config)]
-        attn = _run_plan(_split_heads(x_video @ weights.wq, h), _split_heads(c_audio @ weights.wk, h),
-                         _split_heads(c_audio @ weights.wv, h), plan, TileConfig())
-        return _join_heads(attn) @ weights.wo, c_audio
-
-    packed = np.concatenate(
-        [x_video.reshape(b, f, n, c), c_audio.reshape(b, f, l, c)], axis=2
-    ).reshape(b, f * (n + l), c)
-    qkv = [_split_heads(packed @ w, h) for w in (weights.wq, weights.wk, weights.wv)]
-    del packed
-    attn = _run_plan(*qkv, block_plan(TokenLayout(f, n + l, 0), config), TileConfig())
-    del qkv
-    updated = (_join_heads(attn) @ weights.wo).reshape(b, f, n + l, c)
-    video_out = np.ascontiguousarray(updated[:, :, :n]).reshape(b, f * n, c)
-    if config is InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO:
-        return video_out, c_audio
-    return video_out, np.ascontiguousarray(updated[:, :, n:]).reshape(b, f * l, c)
+    fold = config in (InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
+    g, nv, na = (f, n, l) if fold else (1, f * n, f * l)  # g groups of [nv video | na audio] rows
+    stream = np.concatenate([x_video.reshape(b, g, nv, c), c_audio.reshape(b, g, na, c)], axis=2)
+    stream = stream.reshape(b, g * (nv + na), c)
+    plan = block_plan(TokenLayout(f, n + l, 0) if fold else TokenLayout(f, n, l), config)
+    rows = max([f * n, *(blk.rows.stop for blk in plan)])
+    k0 = min([stream.shape[1], *(blk.cols.start for blk in plan)])
+    q = _split_heads(stream[:, :rows] @ weights.wq, h)
+    k, v = (_split_heads(stream[:, k0:] @ w, h) for w in (weights.wk, weights.wv))
+    del stream
+    attn = _run_plan(q, k, v, plan, TileConfig())
+    del q, k, v
+    y = (_join_heads(attn) @ weights.wo).reshape(b, g, rows // g, c)
+    video = (y if rows == f * n else y[:, :, :nv].copy()).reshape(b, f * n, c)
+    if config in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO):
+        return video, c_audio
+    return video, y[:, :, nv:].copy().reshape(b, f * l, c)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import syncattn.topology as topology
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import (
     TokenLayout,
@@ -382,16 +383,24 @@ class TestConfigLayerForward:
         ca = seeded_random_tensor((b, 1, layout.frames * layout.audio_per_frame, model_dim), seed + 1, dtype)[:, 0]
         return xv, ca
 
-    def test_frozen_audio_vs_updated_audio(self):
+    def test_frozen_audio_vs_updated_audio(self, monkeypatch):
         layout = TokenLayout(frames=2, video_per_frame=3, audio_per_frame=2, others_len=0)
         weights = seeded_projection_set(16, 2, 7)
         xv, ca = self._streams(layout, 16, 100)
+        query_rows = []  # the frozen wiring still computes its audio rows
+
+        def counting(q, *args, **kwargs):
+            query_rows.append(q.shape[2])
+            return flash_varlen_forward(q, *args, **kwargs)
+
+        monkeypatch.setattr(topology, "flash_varlen_forward", counting)
         v_frozen, a_frozen = config_layer_forward(
             xv, ca, layout, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, weights
         )
         v_updated, a_updated = config_layer_forward(
             xv, ca, layout, InjectionConfig.SELF_ATTN_2D, weights
         )
+        assert query_rows == [layout.video_len + layout.audio_len] * 2
         assert v_frozen.tobytes() == v_updated.tobytes()
         assert a_frozen.tobytes() == ca.tobytes()
         assert np.any(a_updated != ca)
@@ -460,35 +469,47 @@ class TestConfigLayerForward:
         seed=st.integers(0, 2**16),
     )
     def test_matches_oracle_on_random_layouts(self, frames, video, audio, others, batch, heads, head_dim, seed):
-        # The oracle attends over the [video | audio] projections under the
-        # wiring's packed mask with the others rows and columns taken out.
         layout = TokenLayout(frames, video, audio, others)
         weights = seeded_projection_set(heads * head_dim, heads, seed, np.float64)
         xv, ca = self._streams(layout, heads * head_dim, seed + 1, np.float64, batch)
-        stream = np.concatenate([xv, ca], axis=1)
-        b, s, c = stream.shape
-        seg_video, _, seg_audio = segment_offsets(layout)
-        keep = np.r_[seg_video, seg_audio].astype(np.int64)
-
-        def project(w):
-            return np.ascontiguousarray((stream @ w).reshape(b, s, heads, head_dim).transpose(0, 2, 1, 3))
-
-        q, k, v = (project(w) for w in (weights.wq, weights.wk, weights.wv))
         outs = {}
-        for config in WIRINGS_2D:
-            allow = build_mask(layout, config)[np.ix_(keep, keep)]
-            attn = naive_attention(q, k, v, allow).out
-            expected = attn.transpose(0, 2, 1, 3).reshape(b, s, c) @ weights.wo
-            v_out, a_out = outs[config] = config_layer_forward(xv, ca, layout, config, weights)
-            assert v_out.shape == xv.shape and a_out.shape == ca.shape
-            assert np.max(np.abs(v_out - expected[:, : layout.video_len]), initial=0.0) <= 1e-12
-            if config is SELF:
-                assert np.max(np.abs(a_out - expected[:, layout.video_len :]), initial=0.0) <= 1e-12
-            else:
-                assert a_out.tobytes() == ca.tobytes()
+        for config in InjectionConfig:
+            outs[config] = config_layer_forward(xv, ca, layout, config, weights)
+            self._check_oracle(outs[config], xv, ca, layout, config, weights, 1e-12)
         assert outs[FROZEN][0].tobytes() == outs[SELF][0].tobytes()
 
-    @pytest.mark.parametrize("config", WIRINGS_2D, ids=lambda c: c.value)
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("config", InjectionConfig, ids=lambda c: c.value)
+    def test_matches_oracle_above_one_tile(self, config, dtype, tol):
+        # 656 packed rows: more than one default query block and key tile.
+        layout = TokenLayout(frames=4, video_per_frame=160, audio_per_frame=4)
+        assert layout.total_len > max(TileConfig().q_block, TileConfig().k_block)
+        weights = seeded_projection_set(32, 2, 13, dtype)
+        xv, ca = self._streams(layout, 32, 800, dtype, b=2)
+        out = config_layer_forward(xv, ca, layout, config, weights)
+        self._check_oracle(out, xv, ca, layout, config, weights, tol)
+
+    @staticmethod
+    def _check_oracle(out, xv, ca, layout, config, weights, tol):
+        """Float64 projections of [video | audio], then naive attention under
+        the wiring's mask of the layout without others tokens."""
+        stream = np.concatenate([xv, ca], axis=1).astype(np.float64)
+        b, s, c = stream.shape
+        h = weights.heads
+        wq, wk, wv, wo = (np.asarray(w, np.float64) for w in (weights.wq, weights.wk, weights.wv, weights.wo))
+        q, k, v = (np.ascontiguousarray((stream @ w).reshape(b, s, h, c // h).transpose(0, 2, 1, 3))
+                   for w in (wq, wk, wv))
+        allow = build_mask(TokenLayout(layout.frames, layout.video_per_frame, layout.audio_per_frame), config)
+        expected = naive_attention(q, k, v, allow).out.transpose(0, 2, 1, 3).reshape(b, s, c) @ wo
+        v_out, a_out = out
+        assert (v_out.shape, a_out.shape, v_out.dtype) == (xv.shape, ca.shape, xv.dtype)
+        assert np.max(np.abs(v_out - expected[:, : layout.video_len]), initial=0.0) <= tol
+        if config in (CROSS, FROZEN):
+            assert a_out.tobytes() == ca.tobytes()
+        else:
+            assert np.max(np.abs(a_out - expected[:, layout.video_len :]), initial=0.0) <= tol
+
+    @pytest.mark.parametrize("config", InjectionConfig, ids=lambda c: c.value)
     def test_others_tokens_change_nothing(self, config):
         weights = seeded_projection_set(8, 2, 3, np.float64)
         xv, ca = self._streams(TokenLayout(3, 4, 2), 8, 600, np.float64, b=2)
@@ -496,7 +517,7 @@ class TestConfigLayerForward:
         with_others = config_layer_forward(xv, ca, TokenLayout(3, 4, 2, 5), config, weights)
         assert [x.tobytes() for x in plain] == [x.tobytes() for x in with_others]
 
-    @pytest.mark.parametrize("config", WIRINGS_2D, ids=lambda c: c.value)
+    @pytest.mark.parametrize("config", InjectionConfig, ids=lambda c: c.value)
     @pytest.mark.parametrize("n,l", [(0, 2), (4, 0)])
     def test_empty_segment_keeps_output_shapes(self, config, n, l):
         layout = TokenLayout(3, n, l)
@@ -509,12 +530,34 @@ class TestConfigLayerForward:
         else:
             assert np.all(np.isfinite(v_out)) and np.all(np.isfinite(a_out))
 
-    def test_wrong_config_rejected(self):
-        layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
-        weights = seeded_projection_set(8, 2, 1)
-        xv, ca = self._streams(layout, 8, 400)
-        with pytest.raises(ValueError):
-            config_layer_forward(xv, ca, layout, InjectionConfig.MASKED_3D, weights)
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("config", InjectionConfig, ids=lambda c: c.value)
+    def test_outputs_hold_only_their_own_rows(self, config, frames):
+        # A returned view of a larger output would keep rows it does not
+        # return alive, such as the frozen wiring's dropped audio.
+        layout = TokenLayout(frames, 4, 2)
+        weights = seeded_projection_set(8, 2, 5)
+        xv, ca = self._streams(layout, 8, 900)
+        for x in config_layer_forward(xv, ca, layout, config, weights):
+            owner = x if x.base is None else x.base
+            assert owner.nbytes == x.nbytes
+
+    @pytest.mark.parametrize(
+        "config,layout,stream,where",
+        [
+            (CROSS, TokenLayout(3, 4, 0), "x_video", (0, 5, 3)),  # no keys: the NaN would vanish
+            (SELF, TokenLayout(3, 4, 2), "x_video", (0, 5, 3)),  # folded: not row 5 of q
+            (InjectionConfig.MASKED_3D, TokenLayout(3, 4, 2), "c_audio", (1, 2, 0)),
+        ],
+        ids=["cross_no_audio", "self_folded", "masked_audio"],
+    )
+    def test_non_finite_stream_named(self, config, layout, stream, where):
+        weights = seeded_projection_set(8, 2, 6)
+        streams = dict(zip(("x_video", "c_audio"), self._streams(layout, 8, 1000, b=2)))
+        streams[stream][where] = np.nan
+        with pytest.raises(ValueError, match=rf"{stream} has a non-finite value nan at \(batch, row, channel\) "
+                                             rf"\({where[0]}, {where[1]}, {where[2]}\)"):
+            config_layer_forward(streams["x_video"], streams["c_audio"], layout, config, weights)
 
     def test_shape_validation(self):
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
@@ -565,6 +608,26 @@ class TestPeakMemory:
         q, k, v = _qkv(layout, 94, heads=h, head_dim=d)
         _, peak = measure_peak_bytes(lambda: masked3d_forward(q, k, v, layout))
         law = b * h * s * (d + 1) * self.ITEM + self.KERNEL + self.ROW_STATE * b * h * s
+        assert peak <= law, (peak, law)
+
+    def test_masked3d_layer_holds_four_projections_and_one_partial(self):
+        layout = TokenLayout(frames=16, video_per_frame=256, audio_per_frame=8)
+        s, n, c, h = layout.total_len, layout.video_per_frame, 128, 2
+        d = c // h
+        weights = seeded_projection_set(c, h, 95)
+        xv = seeded_random_tensor((1, layout.video_len, c), 96, np.float32)
+        ca = seeded_random_tensor((1, layout.audio_len, c), 97, np.float32)
+        _, peak = measure_peak_bytes(
+            lambda: config_layer_forward(xv, ca, layout, InjectionConfig.MASKED_3D, weights)
+        )
+        unit_rows = TileConfig().q_block * TileConfig().k_block // (n * d) * n  # as in masked3d_forward
+        law = (
+            4 * s * c * self.ITEM  # q, k, v and the output
+            + h * s * self.ITEM  # lse
+            + unit_rows * (2 * d + 1) * self.ITEM  # one unit's scratch partial and merge temporary
+            + self.KERNEL
+            + self.ROW_STATE * h * s
+        )
         assert peak <= law, (peak, law)
 
     def test_self_attn_2d_holds_four_projections(self):
