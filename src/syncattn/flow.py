@@ -44,11 +44,14 @@ def velocity_target(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
 
 def fm_loss(pred: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> float:
-    """Mean squared error between a velocity prediction and x1 - x0."""
+    """Mean squared error between a velocity prediction and x1 - x0; an empty
+    prediction has no mean and is rejected."""
     pred = np.asarray(pred)
     target = velocity_target(x0, x1)
     if pred.shape != target.shape:
         raise ValueError(f"pred {pred.shape} must match target {target.shape}")
+    if pred.size == 0:
+        raise ValueError(f"pred {pred.shape} is empty, so its loss is undefined")
     diff = pred - target
     return float(np.mean(diff * diff))
 

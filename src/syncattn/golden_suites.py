@@ -117,12 +117,11 @@ def _masked3d_cases(dtype):
     return [("decomposed", decomposed)]
 
 
-def _wirings_cases(configs):
-    """Cases of ``config_layer_forward`` under each of ``configs``, one suite."""
+def _wirings_cases(configs, layout=TokenLayout(frames=3, video_per_frame=5, audio_per_frame=2)):
+    """Cases of ``config_layer_forward`` under each of ``configs`` on ``layout``, one suite."""
 
     def wiring(config, dtype):
         def build():
-            layout = TokenLayout(frames=3, video_per_frame=5, audio_per_frame=2)
             weights = seeded_projection_set(16, 2, 71, dtype)
             x_video = seeded_random_tensor((2, 1, layout.video_len, 16), 72, dtype)[:, 0]
             c_audio = seeded_random_tensor((2, 1, layout.audio_len, 16), 73, dtype)[:, 0]
@@ -140,17 +139,20 @@ def _both(cases):
                     for name, build in cases(dt)]
 
 
+_WIRINGS_2D = (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
+
 SUITES = {
     "attention": _both(_attention_cases),
     "merge": _both(_merge_cases),
     "rope": _both(_rope_cases),
     "flow": _both(_flow_cases),
     "masked3d": _both(_masked3d_cases),
-    "wirings": _both(_wirings_cases((InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO,
-                                     InjectionConfig.SELF_ATTN_2D))),
-    # Its own suite, not new cases in "wirings": a suite's goldens from an
-    # older commit, which had no such cases, must still check clean.
+    "wirings": _both(_wirings_cases(_WIRINGS_2D)),
+    # Each its own suite, not new cases in "wirings": a suite's goldens from
+    # an older commit, which had no such cases, must still check clean.
     "wirings_3d": _both(_wirings_cases((InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D))),
+    # The 2D wirings' layer in parts of 4 and 5 frames.
+    "wirings_parts": _both(_wirings_cases(_WIRINGS_2D, TokenLayout(frames=9, video_per_frame=60, audio_per_frame=4))),
 }
 
 

@@ -21,11 +21,14 @@ this rule once, as blocks of query rows and per-group key columns.
 ``build_mask`` materializes it; the forward paths never do: ``_run_plan``
 runs the streaming kernel once per block, and each call folds its partial
 result into the output exactly through the LogSumExp statistics.  Its
-callers are ``masked3d_forward`` and the layer of any wiring.
+callers are ``masked3d_forward`` and the layer of any wiring, which runs
+the 2D wirings over parts of whole frames, about one query tile of rows
+each, so that only one part's projections are alive at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -228,14 +231,21 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         config: the wiring.
         weights: projections applied to queries, keys, values, and output.
 
-    One rule for every wiring: pack the streams as [video | audio], project
-    queries over the rows the plan of ``TokenLayout(F, N, L)`` writes (and
-    every video row) and keys and values from the first column it reads,
-    run the plan, and unpack.  The self-attention wirings pack each frame's
-    [video_f, audio_f] instead and run the plan of ``TokenLayout(F, N + L)``:
-    one block group, so one softmax, per frame and no merge.  CROSS_ATTN_2D
-    and the frozen-audio wiring return the input audio.  A NaN or inf in
-    either stream is rejected, named by stream and (batch, row, channel).
+    One rule for every wiring, run over parts of whole frames: pack a
+    part's streams as [video | audio], project queries over the rows the
+    plan of ``TokenLayout(frames, N, L)`` writes (and every video row) and
+    keys and values from the first column it reads, run the plan, project
+    the output and write the part's rows.  The self-attention wirings pack
+    each frame's [video_f, audio_f] instead and run the plan of
+    ``TokenLayout(frames, N + L)``: one block group, so one softmax, per
+    frame and no merge.  The 2D wirings never let a row see another frame,
+    so their parts hold about one query tile of rows each
+    (``q_block // (N + L)`` frames, at least one; the last part takes the
+    remainder) and only one part's projections are alive at a time; the 3D
+    wirings run all F frames as one part.  CROSS_ATTN_2D and the
+    frozen-audio wiring return the input audio.  A NaN or inf in either
+    stream is rejected, named by stream and (batch, row, channel), and so
+    are streams and projections of more than one precision.
 
     Returns the updated (x_video, c_audio), of the input shapes and each in
     its own memory: the attention wiring alone, with no residual, norm or MLP.
@@ -246,23 +256,38 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         raise ValueError(f"x_video must be (B, {f * n}, {c}), got {x_video.shape}")
     if c_audio.ndim != 3 or c_audio.shape[1:] != (f * l, c) or c_audio.shape[0] != x_video.shape[0]:
         raise ValueError(f"c_audio must be ({x_video.shape[0]}, {f * l}, {c}), got {c_audio.shape}")
+    named = {"x_video": x_video, "c_audio": c_audio, **{w: getattr(weights, w) for w in ("wq", "wk", "wv", "wo")}}
+    if {a.dtype for a in named.values()} not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+        got = " ".join(f"{name}={a.dtype}" for name, a in named.items())
+        raise ValueError(f"streams and projections must share one precision, float32 or float64, got {got}")
     check_finite(x_video, "x_video", "(batch, row, channel)")
     check_finite(c_audio, "c_audio", "(batch, row, channel)")
-    b, h = x_video.shape[0], weights.heads
+    b, h, tile = x_video.shape[0], weights.heads, TileConfig()
     fold = config in (InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
-    g, nv, na = (f, n, l) if fold else (1, f * n, f * l)  # g groups of [nv video | na audio] rows
-    stream = np.concatenate([x_video.reshape(b, g, nv, c), c_audio.reshape(b, g, na, c)], axis=2)
-    stream = stream.reshape(b, g * (nv + na), c)
-    plan = block_plan(TokenLayout(f, n + l, 0) if fold else TokenLayout(f, n, l), config)
-    rows = max([f * n, *(blk.rows.stop for blk in plan)])
-    k0 = min([stream.shape[1], *(blk.cols.start for blk in plan)])
-    q = _split_heads(stream[:, :rows] @ weights.wq, h)
-    k, v = (_split_heads(stream[:, k0:] @ w, h) for w in (weights.wk, weights.wv))
-    del stream
-    attn = _run_plan(q, k, v, plan, TileConfig())
-    del q, k, v
-    y = (_join_heads(attn) @ weights.wo).reshape(b, g, rows // g, c)
-    video = (y if rows == f * n else y[:, :, :nv].copy()).reshape(b, f * n, c)
-    if config in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO):
-        return video, c_audio
-    return video, y[:, :, nv:].copy().reshape(b, f * l, c)
+    keep_audio = config not in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO)
+    flat = fold or config is InjectionConfig.CROSS_ATTN_2D  # no row sees another frame's column
+    fs = min(f, max(1, tile.q_block // max(n + l, 1))) if flat else f  # frames per part; the last takes the rest
+    video = audio = None
+    for f0, f1 in itertools.pairwise([*range(0, f - fs + 1, fs), f]):
+        fp = f1 - f0
+        g, nv, na = (fp, n, l) if fold else (1, fp * n, fp * l)  # g groups of [nv video | na audio] rows
+        stream = np.concatenate([x_video[:, f0 * n:f1 * n].reshape(b, g, nv, c),
+                                 c_audio[:, f0 * l:f1 * l].reshape(b, g, na, c)], axis=2)
+        stream = stream.reshape(b, g * (nv + na), c)
+        plan = block_plan(TokenLayout(fp, n + l, 0) if fold else TokenLayout(fp, n, l), config)
+        rows = max([fp * n, *(blk.rows.stop for blk in plan)])
+        k0 = min([stream.shape[1], *(blk.cols.start for blk in plan)])
+        q = _split_heads(stream[:, :rows] @ weights.wq, h)
+        k, v = (_split_heads(stream[:, k0:] @ w, h) for w in (weights.wk, weights.wv))
+        del stream
+        attn = _run_plan(q, k, v, plan, tile)
+        del q, k, v
+        if video is None:  # allocated once the first part's projections are freed
+            video = np.empty((b, f, n, c), x_video.dtype)
+            audio = np.empty((b, f, l, c), x_video.dtype) if keep_audio else None
+        y = (_join_heads(attn) @ weights.wo).reshape(b, g, rows // g, c)
+        video[:, f0:f1] = y[:, :, :nv].reshape(b, fp, n, c)
+        if keep_audio:
+            audio[:, f0:f1] = y[:, :, nv:].reshape(b, fp, l, c)
+        del attn, y  # so the next part projects beside the outputs alone
+    return video.reshape(b, f * n, c), audio.reshape(b, f * l, c) if keep_audio else c_audio

@@ -80,6 +80,13 @@ class TestFmLoss:
         bumped[0, 0, 3, 1] += 1e-3
         assert fm_loss(bumped, x0, x1) > 0.0
 
+    @pytest.mark.parametrize("shape", [(0,), (1, 1, 0, 4)])
+    def test_empty_prediction_rejected(self, shape):
+        # np.mean of nothing is NaN with a RuntimeWarning, not a loss.
+        empty = np.zeros(shape)
+        with pytest.raises(ValueError, match="empty"):
+            fm_loss(empty, empty, empty)
+
 
 class TestEulerSample:
     @pytest.mark.parametrize("steps", [1, 10, 100])

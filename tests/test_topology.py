@@ -383,24 +383,34 @@ class TestConfigLayerForward:
         ca = seeded_random_tensor((b, 1, layout.frames * layout.audio_per_frame, model_dim), seed + 1, dtype)[:, 0]
         return xv, ca
 
-    def test_frozen_audio_vs_updated_audio(self, monkeypatch):
-        layout = TokenLayout(frames=2, video_per_frame=3, audio_per_frame=2, others_len=0)
-        weights = seeded_projection_set(16, 2, 7)
-        xv, ca = self._streams(layout, 16, 100)
-        query_rows = []  # the frozen wiring still computes its audio rows
+    @staticmethod
+    def _count_query_rows(monkeypatch):
+        """The query rows of every kernel call the layer makes, in call order."""
+        query_rows = []
 
         def counting(q, *args, **kwargs):
             query_rows.append(q.shape[2])
             return flash_varlen_forward(q, *args, **kwargs)
 
         monkeypatch.setattr(topology, "flash_varlen_forward", counting)
+        return query_rows
+
+    def test_frozen_audio_vs_updated_audio(self, monkeypatch):
+        # Parts of 4 and 5 frames; the frozen wiring still computes its audio rows.
+        layout = TokenLayout(frames=9, video_per_frame=60, audio_per_frame=4, others_len=0)
+        weights = seeded_projection_set(16, 2, 7)
+        xv, ca = self._streams(layout, 16, 100)
+        query_rows = self._count_query_rows(monkeypatch)
         v_frozen, a_frozen = config_layer_forward(
             xv, ca, layout, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, weights
         )
+        frozen_rows = query_rows.copy()
+        query_rows.clear()
         v_updated, a_updated = config_layer_forward(
             xv, ca, layout, InjectionConfig.SELF_ATTN_2D, weights
         )
-        assert query_rows == [layout.video_len + layout.audio_len] * 2
+        assert len(frozen_rows) > 1
+        assert sum(frozen_rows) == sum(query_rows) == layout.video_len + layout.audio_len
         assert v_frozen.tobytes() == v_updated.tobytes()
         assert a_frozen.tobytes() == ca.tobytes()
         assert np.any(a_updated != ca)
@@ -489,6 +499,25 @@ class TestConfigLayerForward:
         out = config_layer_forward(xv, ca, layout, config, weights)
         self._check_oracle(out, xv, ca, layout, config, weights, tol)
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize(
+        "layout,part_frames",
+        [(TokenLayout(9, 60, 4), [4, 5]), (TokenLayout(3, 200, 1), [1, 1, 1])],
+        ids=["remainder", "one_row_audio"],
+    )
+    @pytest.mark.parametrize("config", WIRINGS_2D, ids=lambda c: c.value)
+    def test_matches_oracle_over_parts(self, config, layout, part_frames, dtype, tol, monkeypatch):
+        # A part holds q_block // (N + L) whole frames and the last takes the
+        # rest; one kernel call per part, as each part's plan is one block.
+        n, l = layout.video_per_frame, layout.audio_per_frame
+        assert part_frames[0] == max(1, TileConfig().q_block // (n + l))
+        weights = seeded_projection_set(16, 2, 17, dtype)
+        xv, ca = self._streams(layout, 16, 1100, dtype, b=2)
+        query_rows = self._count_query_rows(monkeypatch)
+        out = config_layer_forward(xv, ca, layout, config, weights)
+        assert query_rows == [fp * (n if config is CROSS else n + l) for fp in part_frames]
+        self._check_oracle(out, xv, ca, layout, config, weights, tol)
+
     @staticmethod
     def _check_oracle(out, xv, ca, layout, config, weights, tol):
         """Float64 projections of [video | audio], then naive attention under
@@ -558,6 +587,21 @@ class TestConfigLayerForward:
         with pytest.raises(ValueError, match=rf"{stream} has a non-finite value nan at \(batch, row, channel\) "
                                              rf"\({where[0]}, {where[1]}, {where[2]}\)"):
             config_layer_forward(streams["x_video"], streams["c_audio"], layout, config, weights)
+
+    @pytest.mark.parametrize(
+        "video,audio,weights",  # weights: the dtypes of wq, wk, wv and wo
+        [(np.float32, np.float32, [np.float64] * 4), (np.float64, np.float32, [np.float64] * 4),
+         (np.float64, np.float64, [np.float64] * 3 + [np.float32]), (np.float16, np.float16, [np.float16] * 4)],
+        ids=["f64_weights", "f32_audio", "f32_wo", "f16"],
+    )
+    def test_mixed_or_unsupported_precision_rejected(self, video, audio, weights):
+        layout = TokenLayout(3, 4, 2)
+        w = seeded_projection_set(8, 2, 8, np.float64)
+        w = topology.ProjectionSet(*(m.astype(dt) for m, dt in zip((w.wq, w.wk, w.wv, w.wo), weights)), w.heads)
+        xv, ca = self._streams(layout, 8, 1200, np.float64)
+        with pytest.raises(ValueError, match=rf"one precision.*x_video={np.dtype(video).name} "
+                                             rf"c_audio={np.dtype(audio).name} wq="):
+            config_layer_forward(xv.astype(video), ca.astype(audio), layout, CROSS, w)
 
     def test_shape_validation(self):
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
@@ -630,15 +674,27 @@ class TestPeakMemory:
         )
         assert peak <= law, (peak, law)
 
-    def test_self_attn_2d_holds_four_projections(self):
+    def _check_layer_2d_law(self, config, output_rows_per_frame):
+        """Peak of a 2D wiring's layer: its outputs, and one part's four packed
+        projections (its stream, q, k and v, or q, k, v and the attention output),
+        kernel tiles and row state."""
         layout = TokenLayout(frames=8, video_per_frame=512, audio_per_frame=16, others_len=0)
         f, n, l, c, h = layout.frames, layout.video_per_frame, layout.audio_per_frame, 256, 4
         weights = seeded_projection_set(c, h, 91)
         xv = seeded_random_tensor((1, f * n, c), 92, np.float32)
         ca = seeded_random_tensor((1, f * l, c), 93, np.float32)
-        _, peak = measure_peak_bytes(
-            lambda: config_layer_forward(xv, ca, layout, InjectionConfig.SELF_ATTN_2D, weights)
+        _, peak = measure_peak_bytes(lambda: config_layer_forward(xv, ca, layout, config, weights))
+        part_rows = max(1, TileConfig().q_block // (n + l)) * (n + l)  # whole frames, about one query tile
+        law = (
+            f * output_rows_per_frame * c * self.ITEM
+            + 4 * part_rows * c * self.ITEM
+            + self.KERNEL
+            + self.ROW_STATE * h * part_rows
         )
-        packed = f * (n + l) * c * self.ITEM  # one projection of the packed frames
-        law = 4 * packed + self.KERNEL + self.ROW_STATE * h * f * (n + l)  # q, k, v and the output
         assert peak <= law, (peak, law)
+
+    def test_self_attn_2d_holds_four_projections(self):
+        self._check_layer_2d_law(InjectionConfig.SELF_ATTN_2D, 512 + 16)  # video and audio out
+
+    def test_cross_attn_2d_holds_four_part_projections(self):
+        self._check_layer_2d_law(InjectionConfig.CROSS_ATTN_2D, 512)  # video out; the audio is the input
