@@ -20,11 +20,11 @@ from .core import (
     segment_offsets,
     write_golden,
 )
-from .flow import FlowState, euler_sample, fm_loss, interpolate, velocity_target
+from .flow import euler_sample, fm_loss, interpolate, velocity_target
 from .kernel import TileConfig, flash_forward, flash_varlen_forward
 from .merge import merge_many, merge_partials
 from .reference import finite_diff_check, naive_attention, naive_backward
-from .rope import FreqSchedule, apply_rope, assign_coords, diagonal_1d_equivalence
+from .rope import apply_rope, assign_coords, diagonal_1d_equivalence
 from .topology import (
     InjectionConfig,
     ProjectionSet,
@@ -39,8 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttnPartial",
-    "FlowState",
-    "FreqSchedule",
     "GoldenFileError",
     "InjectionConfig",
     "ProjectionSet",

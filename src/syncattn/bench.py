@@ -142,7 +142,6 @@ def run_case(case: BenchCase, impl: str) -> BenchRecord:
     return record
 
 
-def sweep_layouts(base: TokenLayout, doublings: int = 2) -> list[TokenLayout]:
-    """Layouts whose total length doubles at each step (frames and others scale)."""
-    return [replace(base, frames=base.frames * 2**i, others_len=base.others_len * 2**i)
-            for i in range(doublings + 1)]
+def sweep_layouts(base: TokenLayout) -> list[TokenLayout]:
+    """``base`` and two doublings of its total length (frames and others scale)."""
+    return [replace(base, frames=base.frames * 2**i, others_len=base.others_len * 2**i) for i in range(3)]

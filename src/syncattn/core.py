@@ -271,6 +271,8 @@ def read_golden(path) -> np.ndarray:
         dims = tuple(int(t) for t in header[1:5])
     except ValueError as exc:
         raise GoldenFileError(f"{path}: non-integer dims in header") from exc
+    if min(dims) < 0:
+        raise GoldenFileError(f"{path}: negative dims {dims} in header")
     if header[5] not in PRECISIONS:
         raise GoldenFileError(f"{path}: unknown precision {header[5]!r}")
     dtype = np.dtype(PRECISIONS[header[5]])

@@ -3,36 +3,25 @@ training loss, and a deterministic Euler sampler."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["FlowState", "euler_sample", "fm_loss", "interpolate", "velocity_target"]
+__all__ = ["euler_sample", "fm_loss", "interpolate", "velocity_target"]
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """A point on the linear path from noise x0 to data x1 at time t in [0, 1]."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        if np.shape(self.x0) != np.shape(self.x1):
-            raise ValueError(f"x0 {np.shape(self.x0)} and x1 {np.shape(self.x1)} must match")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {self.t}")
-
-
-def interpolate(state: FlowState) -> np.ndarray:
-    """(1 - t) * x0 + t * x1; exactly x0 at t=0 and x1 at t=1."""
-    if state.t == 0.0:
-        return np.array(state.x0, copy=True)
-    if state.t == 1.0:
-        return np.array(state.x1, copy=True)
-    return (1.0 - state.t) * np.asarray(state.x0) + state.t * np.asarray(state.x1)
+def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
+    """The point at time t in [0, 1] on the linear path from noise x0 to data
+    x1: (1 - t) * x0 + t * x1, exactly x0 at t=0 and x1 at t=1."""
+    if np.shape(x0) != np.shape(x1):
+        raise ValueError(f"x0 {np.shape(x0)} and x1 {np.shape(x1)} must match")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    if t == 0.0:
+        return np.array(x0, copy=True)
+    if t == 1.0:
+        return np.array(x1, copy=True)
+    return (1.0 - t) * np.asarray(x0) + t * np.asarray(x1)
 
 
 def velocity_target(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:

@@ -27,11 +27,11 @@ from .core import (
     seeded_random_tensor,
     write_golden,
 )
-from .flow import FlowState, euler_sample, fm_loss, interpolate
+from .flow import euler_sample, fm_loss, interpolate
 from .kernel import TileConfig, flash_forward, flash_varlen_forward
 from .merge import merge_many
 from .reference import naive_attention
-from .rope import FreqSchedule, apply_rope, assign_coords
+from .rope import apply_rope, assign_coords
 from .topology import InjectionConfig, config_layer_forward, masked3d_forward, seeded_projection_set
 
 __all__ = ["F32_TOL", "SUITES", "check_suite", "generate_suite"]
@@ -86,9 +86,8 @@ def _rope_cases(dtype):
     def rotated():
         layout = TokenLayout(frames=3, video_per_frame=12, audio_per_frame=4, others_len=6)
         coords = assign_coords(layout, video_grid=(3, 4))
-        sched = FreqSchedule.for_head_dim(16)
         x = seeded_random_tensor((1, 2, layout.total_len, 16), 41, dtype)
-        return {"out": apply_rope(x, coords, sched)}
+        return {"out": apply_rope(x, coords)}
 
     return [("rotated", rotated)]
 
@@ -97,7 +96,7 @@ def _flow_cases(dtype):
     def path():
         x0 = seeded_random_tensor((1, 1, 24, 8), 51, dtype)
         x1 = seeded_random_tensor((1, 1, 24, 8), 52, dtype)
-        mid = interpolate(FlowState(x0, x1, 0.25))
+        mid = interpolate(x0, x1, 0.25)
         sampled = euler_sample(lambda x, t: x1 - x0, x0, steps=10)
         loss = fm_loss(mid, x0, x1)
         return {"mid": mid, "sampled": sampled, "loss": _scalar4(loss, dtype)}

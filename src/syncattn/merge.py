@@ -13,9 +13,9 @@ precision.  Disjointness of the key sets is the caller's obligation and
 is not checked here.
 
 A merge may write into a given ``out`` partial, ``p1`` itself included.
-The output is formed one (batch, head) at a time, so beyond O(rows)
-weights its only temporary is one ``(S_q, D)`` block; this is the same
-IEEE arithmetic as the whole-tensor expression above.
+The output is formed in place as ``w_1 * O_1`` plus ``w_2 * O_2``, so
+beyond O(rows) weights its only temporary is the weighted ``O_2``, one
+array the size of the partial.
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial, out: AttnPartial | None = N
         w1 = np.where(both_empty, 0.0, np.exp(l1 - lse))[..., None].astype(o1.dtype)
         w2 = np.where(both_empty, 0.0, np.exp(l2 - lse))[..., None].astype(o2.dtype)
     out.lse[...] = lse
-    for bh in np.ndindex(o1.shape[:-2]):
-        np.multiply(o1[bh], w1[bh], out=out.out[bh])
-        out.out[bh] += o2[bh] * w2[bh]
+    np.multiply(o1, w1, out=out.out)
+    np.add(out.out, o2 * w2, out=out.out)
     return out
 
 

@@ -20,6 +20,9 @@ from .core import AttnPartial, check_attn_tensor, check_qkv, seeded_random_tenso
 
 __all__ = ["GradCheckReport", "finite_diff_check", "naive_attention", "naive_backward"]
 
+FD_STEP = 1e-5  # finite_diff_check's central-difference step
+FD_TOL = 1e-4  # finite_diff_check's bound on each gradient's relative error
+
 
 def _as_allow(mask, s_q: int, s_k: int) -> np.ndarray | None:
     """Check that an optional mask is a boolean (s_q, s_k) matrix."""
@@ -146,8 +149,9 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return diff / max(scale, 1e-12)
 
 
-def finite_diff_check(q, k, v, mask=None, seed: int = 0, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Check naive_backward against central finite differences.
+def finite_diff_check(q, k, v, mask=None, seed: int = 0) -> GradCheckReport:
+    """Check naive_backward against central finite differences of step
+    FD_STEP; the check passes when every relative error is within FD_TOL.
 
     The scalar loss is ``sum(output * dO)`` for a seeded random dO, so its
     gradients are exactly what naive_backward returns.  Inputs must be
@@ -173,12 +177,12 @@ def finite_diff_check(q, k, v, mask=None, seed: int = 0, step: float = 1e-5, tol
         gflat = grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             up = loss(*tensors)
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             down = loss(*tensors)
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
+            gflat[i] = (up - down) / (2.0 * FD_STEP)
         return grad
 
     dq, dk, dv = naive_backward(q, k, v, dout, mask)
@@ -186,5 +190,5 @@ def finite_diff_check(q, k, v, mask=None, seed: int = 0, step: float = 1e-5, tol
         max_rel_err_dq=_rel_err(dq, numeric_grad(0)),
         max_rel_err_dk=_rel_err(dk, numeric_grad(1)),
         max_rel_err_dv=_rel_err(dv, numeric_grad(2)),
-        tol=tol,
+        tol=FD_TOL,
     )

@@ -67,6 +67,6 @@ def test_unknown_impl_rejected():
 
 def test_sweep_layouts_double_total_length():
     base = TokenLayout(frames=4, video_per_frame=128, audio_per_frame=8, others_len=96)
-    layouts = sweep_layouts(base, doublings=2)
+    layouts = sweep_layouts(base)
     totals = [l.total_len for l in layouts]
     assert totals == [base.total_len, 2 * base.total_len, 4 * base.total_len]

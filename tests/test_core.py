@@ -153,6 +153,14 @@ class TestGoldenIO:
         with pytest.raises(GoldenFileError, match="header"):
             read_golden(path)
 
+    @pytest.mark.parametrize("header", ["GV1 -1 1 1 1 f64", "GV1 -1 -1 1 1 f64"])
+    def test_negative_dims_rejected(self, tmp_path, header):
+        # (-1) * (-1) * 1 * 1 declares one word, and reshape would take -1 as "infer".
+        path = tmp_path / "neg.gv"
+        path.write_text(f"{header}\n3ff0000000000000\n")
+        with pytest.raises(GoldenFileError, match="negative dims"):
+            read_golden(path)
+
     def test_wrong_word_width_rejected(self, tmp_path):
         path = tmp_path / "width.gv"
         path.write_text("GV1 1 1 1 1 f64\n3f800000\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from syncattn.core import seeded_random_tensor
-from syncattn.flow import FlowState, euler_sample, fm_loss, interpolate, velocity_target
+from syncattn.flow import euler_sample, fm_loss, interpolate, velocity_target
 
 
 def _pair(seed, dtype=np.float64):
@@ -16,25 +16,25 @@ def _pair(seed, dtype=np.float64):
 class TestInterpolate:
     def test_endpoints_exact(self):
         x0, x1 = _pair(1)
-        assert np.array_equal(interpolate(FlowState(x0, x1, 0.0)), x0)
-        assert np.array_equal(interpolate(FlowState(x0, x1, 1.0)), x1)
+        assert np.array_equal(interpolate(x0, x1, 0.0), x0)
+        assert np.array_equal(interpolate(x0, x1, 1.0), x1)
 
     def test_scalar_midpoint(self):
         x0 = np.zeros((1, 1, 1, 1))
         x1 = np.full((1, 1, 1, 1), 2.0)
-        assert interpolate(FlowState(x0, x1, 0.5))[0, 0, 0, 0] == 1.0
+        assert interpolate(x0, x1, 0.5)[0, 0, 0, 0] == 1.0
 
     def test_t_out_of_range_rejected(self):
         x0, x1 = _pair(2)
         with pytest.raises(ValueError):
-            FlowState(x0, x1, 1.5)
+            interpolate(x0, x1, 1.5)
         with pytest.raises(ValueError):
-            FlowState(x0, x1, -0.01)
+            interpolate(x0, x1, -0.01)
 
     def test_shape_mismatch_rejected(self):
         x0, x1 = _pair(3)
         with pytest.raises(ValueError):
-            FlowState(x0, x1[:, :, :4], 0.5)
+            interpolate(x0, x1[:, :, :4], 0.5)
 
 
 class TestVelocityTarget:
@@ -52,8 +52,8 @@ class TestVelocityTarget:
         x0, x1 = _pair(5)
         h = 1e-6
         t = 0.37
-        up = interpolate(FlowState(x0, x1, t + h))
-        down = interpolate(FlowState(x0, x1, t - h))
+        up = interpolate(x0, x1, t + h)
+        down = interpolate(x0, x1, t - h)
         numeric = (up - down) / (2 * h)
         assert np.max(np.abs(numeric - velocity_target(x0, x1))) <= 1e-6
 

@@ -5,11 +5,11 @@ import pytest
 
 from syncattn.core import TokenLayout, seeded_random_tensor, segment_offsets
 from syncattn.rope import (
-    FreqSchedule,
     apply_rope,
     assign_coords,
     default_axis_split,
     diagonal_1d_equivalence,
+    frequencies,
 )
 
 
@@ -47,63 +47,49 @@ class TestAssignCoords:
         np.testing.assert_array_equal(block[:, 1], [0, 0, 1, 1, 2])
         np.testing.assert_array_equal(block[:, 2], [0, 1, 0, 1, 0])
 
-    def test_explicit_others_grid_and_frame(self):
-        layout = TokenLayout(frames=1, video_per_frame=1, audio_per_frame=0, others_len=6)
-        coords = assign_coords(layout, (1, 1), others_grid=(2, 3), others_frame=9)
-        block = coords[1:]
-        assert np.all(block[:, 0] == 9)
-        np.testing.assert_array_equal(block[:, 1], [0, 0, 0, 1, 1, 1])
-
     def test_grid_mismatch_rejected(self):
         layout = TokenLayout(frames=1, video_per_frame=4, audio_per_frame=0, others_len=2)
         with pytest.raises(ValueError, match="video_grid"):
             assign_coords(layout, (1, 3))
-        with pytest.raises(ValueError, match="others_grid"):
-            assign_coords(layout, (2, 2), others_grid=(1, 3))
+        # (-2) * (-2) has the right cell count but would give negative coordinates.
+        with pytest.raises(ValueError, match="non-negative"):
+            assign_coords(layout, (-2, -2))
 
 
-class TestFreqSchedule:
+class TestFrequencies:
     def test_default_split_shapes(self):
         assert default_axis_split(64) == (16, 24, 24)
         assert default_axis_split(16) == (4, 6, 6)
         assert default_axis_split(8) == (4, 2, 2)
 
     def test_frequencies_strictly_decreasing(self):
-        sched = FreqSchedule.for_head_dim(32)
-        for freqs in (sched.freqs_t, sched.freqs_x, sched.freqs_y):
+        for freqs in frequencies(32):
             assert freqs[0] == 1.0
             assert np.all(np.diff(freqs) < 0) or freqs.size == 1
 
     def test_bad_splits_rejected(self):
-        with pytest.raises(ValueError):
-            FreqSchedule.for_head_dim(16, dims=(4, 6, 4))
-        with pytest.raises(ValueError):
-            FreqSchedule.for_head_dim(16, dims=(5, 6, 5))
         with pytest.raises(ValueError):
             default_axis_split(7)
 
 
 class TestApplyRope:
     def test_zero_coords_identity(self):
-        sched = FreqSchedule.for_head_dim(16)
         x = seeded_random_tensor((1, 2, 6, 16), 5, np.float32)
-        rotated = apply_rope(x, np.zeros((6, 3), dtype=np.int64), sched)
+        rotated = apply_rope(x, np.zeros((6, 3), dtype=np.int64))
         assert rotated.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_isometry(self, dtype, tol):
         layout = TokenLayout(frames=3, video_per_frame=6, audio_per_frame=2, others_len=4)
         coords = assign_coords(layout, (2, 3))
-        sched = FreqSchedule.for_head_dim(16)
         x = seeded_random_tensor((1, 2, layout.total_len, 16), 6, dtype)
-        rotated = apply_rope(x, coords, sched)
+        rotated = apply_rope(x, coords)
         norms_in = np.linalg.norm(x.astype(np.float64), axis=-1)
         norms_out = np.linalg.norm(rotated.astype(np.float64), axis=-1)
         assert np.max(np.abs(norms_in - norms_out)) <= tol
 
     def test_relative_position_law_pairwise(self):
         # <rot(q, p), rot(k, p + delta)> == <rot(q, 0), rot(k, delta)>
-        sched = FreqSchedule.for_head_dim(16)
         gen = np.random.Generator(np.random.Philox(7))
         for _ in range(50):
             q = gen.standard_normal((1, 1, 1, 16))
@@ -111,25 +97,24 @@ class TestApplyRope:
             p = gen.integers(0, 20, size=3)
             delta = gen.integers(-10, 10, size=3)
             lhs = np.sum(
-                apply_rope(q, p[None, :], sched) * apply_rope(k, (p + delta)[None, :], sched)
+                apply_rope(q, p[None, :]) * apply_rope(k, (p + delta)[None, :])
             )
             rhs = np.sum(
-                apply_rope(q, np.zeros((1, 3), np.int64), sched)
-                * apply_rope(k, delta[None, :], sched)
+                apply_rope(q, np.zeros((1, 3), np.int64))
+                * apply_rope(k, delta[None, :])
             )
             assert abs(lhs - rhs) <= 1e-5
 
     def test_translation_leaves_all_scores_unchanged(self):
         layout = TokenLayout(frames=2, video_per_frame=4, audio_per_frame=2, others_len=3)
         coords = assign_coords(layout, (2, 2))
-        sched = FreqSchedule.for_head_dim(16)
         q = seeded_random_tensor((1, 1, layout.total_len, 16), 8, np.float32)
         k = seeded_random_tensor((1, 1, layout.total_len, 16), 9, np.float32)
 
         def scores(shift):
             c = coords + np.asarray(shift)[None, :]
-            rq = apply_rope(q, c, sched).astype(np.float64)
-            rk = apply_rope(k, c, sched).astype(np.float64)
+            rq = apply_rope(q, c).astype(np.float64)
+            rk = apply_rope(k, c).astype(np.float64)
             return np.einsum("bhid,bhjd->bhij", rq, rk)
 
         base = scores((0, 0, 0))
@@ -139,14 +124,13 @@ class TestApplyRope:
     def test_audio_scores_depend_only_on_offsets(self):
         # Diagonal tokens: the score depends on (frame delta, position
         # delta), not on absolute placement.
-        sched = FreqSchedule.for_head_dim(16)
         q = seeded_random_tensor((1, 1, 1, 16), 10, np.float64)
         k = seeded_random_tensor((1, 1, 1, 16), 11, np.float64)
 
         def score(f, n, df, dn):
             cq = np.array([[f, n, n]], dtype=np.int64)
             ck = np.array([[f + df, n + dn, n + dn]], dtype=np.int64)
-            return float(np.sum(apply_rope(q, cq, sched) * apply_rope(k, ck, sched)))
+            return float(np.sum(apply_rope(q, cq) * apply_rope(k, ck)))
 
         for df, dn in [(0, 1), (2, 3), (1, 0), (3, -2)]:
             reference = score(0, 0, df, dn)
@@ -154,28 +138,20 @@ class TestApplyRope:
                 assert abs(score(f, n, df, dn) - reference) <= 1e-12
 
     def test_shape_validation(self):
-        sched = FreqSchedule.for_head_dim(16)
         x = seeded_random_tensor((1, 1, 4, 16), 12)
         with pytest.raises(ValueError, match="token count"):
-            apply_rope(x, np.zeros((3, 3), np.int64), sched)
-        with pytest.raises(ValueError, match="head_dim"):
-            apply_rope(seeded_random_tensor((1, 1, 4, 8), 13), np.zeros((4, 3), np.int64), sched)
+            apply_rope(x, np.zeros((3, 3), np.int64))
+        with pytest.raises(ValueError, match="head_dim must be even"):
+            apply_rope(seeded_random_tensor((1, 1, 4, 7), 13), np.zeros((4, 3), np.int64))
 
 
 class TestDiagonal1dEquivalence:
     def test_zero_position_zero_deviation(self):
-        sched = FreqSchedule.for_head_dim(16)
-        report = diagonal_1d_equivalence(sched, positions=(0,), cases=5)
+        report = diagonal_1d_equivalence(16, positions=(0,), cases=5)
         assert report.max_abs_deviation == 0.0
         assert report.passed
 
     def test_random_positions_match(self):
-        sched = FreqSchedule.for_head_dim(32)
-        report = diagonal_1d_equivalence(sched, cases=60)
+        report = diagonal_1d_equivalence(32, cases=60)
         assert report.passed
         assert report.max_abs_deviation <= 1e-6
-
-    def test_requires_equal_spatial_axes(self):
-        sched = FreqSchedule.for_head_dim(16, dims=(4, 8, 4))
-        with pytest.raises(ValueError, match="d_x == d_y"):
-            diagonal_1d_equivalence(sched)
