@@ -1,4 +1,9 @@
-"""Benchmark machinery: timing, allocation-counting, and report records.
+"""Benchmark machinery: timing, allocation counting, and the records ``syncattn bench`` prints.
+
+A record is one flat dict per case and implementation: the case's settings
+and layout, the blocks of the default ``TileConfig()`` that the decomposed
+path runs at, the wall-clock median/p10/p90 in milliseconds, the peak
+transient bytes, and a status.
 
 Timing and memory are measured in separate runs because tracemalloc (the
 allocation-counting hook) slows the traced code down.  Peak transient
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,38 +26,9 @@ from .kernel import TileConfig
 from .reference import naive_attention
 from .topology import InjectionConfig, build_mask, masked3d_forward
 
-__all__ = ["BenchRecord", "make_inputs", "measure_peak_bytes", "run_case", "sweep_layouts", "time_repeats"]
+__all__ = ["BenchCase", "make_inputs", "measure_peak_bytes", "run_case", "sweep_layouts", "time_repeats"]
 
 IMPLS = ("naive", "decomposed")
-
-
-@dataclass
-class BenchRecord:
-    """One benchmark run of one implementation on one layout."""
-
-    impl: str
-    frames: int
-    video_per_frame: int
-    audio_per_frame: int
-    others_len: int
-    batch: int
-    heads: int
-    head_dim: int
-    precision: str
-    seed: int
-    q_block: int
-    k_block: int
-    repeats: int
-    total_len: int
-    wall_ms_median: float | None = None
-    wall_ms_p10: float | None = None
-    wall_ms_p90: float | None = None
-    peak_bytes: int | None = None
-    status: str = "ok"
-
-    def to_dict(self) -> dict:
-        """The record's fields, leaving out those never measured (None)."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -63,7 +39,6 @@ class BenchCase:
     head_dim: int = 64
     precision: type = np.float32
     seed: int = 0
-    tile: TileConfig = field(default_factory=TileConfig)
     repeats: int = 3
 
 
@@ -105,41 +80,38 @@ def make_inputs(case: BenchCase):
     return q, k, v
 
 
-def _record_base(case: BenchCase, impl: str) -> BenchRecord:
-    return BenchRecord(
-        impl=impl, **asdict(case.layout), batch=case.batch, heads=case.heads, head_dim=case.head_dim,
-        precision=precision_name(case.precision), seed=case.seed, **asdict(case.tile),
-        repeats=case.repeats, total_len=case.layout.total_len,
-    )
-
-
-def run_case(case: BenchCase, impl: str) -> BenchRecord:
-    """Benchmark one implementation on one case.
+def run_case(case: BenchCase, impl: str) -> dict:
+    """Benchmark one implementation on one case; returns the record ``syncattn bench`` prints.
 
     ``impl`` is "naive" (materialized permission matrix through the
-    reference path) or "decomposed" (streaming decomposition).  An
-    out-of-memory failure on the naive path is reported as a record with
-    status "naive-oom" rather than raised.
+    reference path) or "decomposed" (streaming decomposition at the default
+    tiles).  A naive-path out-of-memory failure is reported as a record with
+    status "naive-oom" and no timing or peak keys rather than raised.
     """
     if impl not in IMPLS:
         raise ValueError(f"impl must be one of {IMPLS}, got {impl!r}")
-    record = _record_base(case, impl)
+    record = {
+        "impl": impl, **asdict(case.layout), "batch": case.batch, "heads": case.heads,
+        "head_dim": case.head_dim, "precision": precision_name(case.precision), "seed": case.seed,
+        **asdict(TileConfig()), "repeats": case.repeats, "total_len": case.layout.total_len,
+    }
     q, k, v = make_inputs(case)
 
     if impl == "naive":
         mask = build_mask(case.layout, InjectionConfig.MASKED_3D)
         run = lambda: naive_attention(q, k, v, mask).out
     else:
-        run = lambda: masked3d_forward(q, k, v, case.layout, case.tile)
+        run = lambda: masked3d_forward(q, k, v, case.layout)
 
     try:
-        record.wall_ms_median, record.wall_ms_p10, record.wall_ms_p90 = time_repeats(run, case.repeats)
-        _, record.peak_bytes = measure_peak_bytes(run)
+        median, p10, p90 = time_repeats(run, case.repeats)
+        _, peak = measure_peak_bytes(run)
     except MemoryError:
         if impl != "naive":
             raise
-        record.status = "naive-oom"
-    return record
+        return {**record, "status": "naive-oom"}
+    return {**record, "wall_ms_median": median, "wall_ms_p10": p10, "wall_ms_p90": p90,
+            "peak_bytes": peak, "status": "ok"}
 
 
 def sweep_layouts(base: TokenLayout) -> list[TokenLayout]:

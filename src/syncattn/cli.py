@@ -11,11 +11,9 @@ import sys
 
 import numpy as np
 
-from . import bench as bench_mod
-from .bench import BenchCase, run_case
-from .core import PRECISIONS, TokenLayout, segment_offsets
+from .bench import IMPLS, BenchCase, make_inputs, run_case
+from .core import PRECISIONS, TokenLayout, check_count, segment_offsets
 from .golden_suites import SUITES, check_suite, generate_suite
-from .kernel import TileConfig
 from .reference import naive_attention
 from .topology import InjectionConfig, build_mask, masked3d_forward
 
@@ -38,31 +36,23 @@ def _add_layout_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--precision", choices=sorted(PRECISIONS), default="f32")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q-block", type=int, default=TileConfig().q_block)
-    p.add_argument("--k-block", type=int, default=TileConfig().k_block)
-
-
-def _layout_from_args(args) -> TokenLayout:
-    layout = TokenLayout(args.frames, args.video_tokens, args.audio_tokens, args.others)
-    if layout.total_len == 0:
-        raise ValueError("layout resolves to an empty sequence")
-    return layout
 
 
 def _case_from_args(args, repeats: int = 3) -> BenchCase:
     for flag, value, least in (("--batch", args.batch, 0), ("--heads", args.heads, 0),
                                ("--head-dim", args.head_dim, 1), ("--seed", args.seed, 0),
                                ("--repeats", repeats, 3)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+        check_count(value, flag, least)
+    layout = TokenLayout(args.frames, args.video_tokens, args.audio_tokens, args.others)
+    if layout.total_len == 0:
+        raise ValueError("layout resolves to an empty sequence")
     return BenchCase(
-        layout=_layout_from_args(args),
+        layout=layout,
         batch=args.batch,
         heads=args.heads,
         head_dim=args.head_dim,
         precision=PRECISIONS[args.precision],
         seed=args.seed,
-        tile=TileConfig(args.q_block, args.k_block),
         repeats=repeats,
     )
 
@@ -83,8 +73,8 @@ def cmd_validate(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    q, k, v = bench_mod.make_inputs(case)
-    decomposed = masked3d_forward(q, k, v, case.layout, case.tile)
+    q, k, v = make_inputs(case)
+    decomposed = masked3d_forward(q, k, v, case.layout)
     oracle = naive_attention(q, k, v, build_mask(case.layout, InjectionConfig.MASKED_3D))
     err = np.abs(decomposed - oracle.out)
     diff = float(err.max()) if err.size else 0.0
@@ -109,8 +99,8 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    for impl in bench_mod.IMPLS if args.impl == "both" else [args.impl]:
-        print(json.dumps(run_case(case, impl).to_dict()))
+    for impl in IMPLS if args.impl == "both" else [args.impl]:
+        print(json.dumps(run_case(case, impl)))
     return 0
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "PRECISIONS",
     "TokenLayout",
     "check_attn_tensor",
+    "check_count",
     "check_cu_seqlens",
     "check_finite",
     "check_qkv",
@@ -50,6 +51,15 @@ class GoldenFileError(ValueError):
     """Raised for malformed, non-finite, or shape-inconsistent golden files."""
 
 
+def check_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TokenLayout:
     """Shape of one packed multi-modal token sequence.
@@ -67,11 +77,8 @@ class TokenLayout:
     others_len: int = 0
 
     def __post_init__(self) -> None:
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
-        for name in ("video_per_frame", "audio_per_frame", "others_len"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, least in (("frames", 1), ("video_per_frame", 0), ("audio_per_frame", 0), ("others_len", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
 
     @property
     def video_len(self) -> int:
@@ -100,11 +107,8 @@ def segment_offsets(layout: TokenLayout) -> tuple[range, range, range]:
 
 def per_frame_cu_seqlens(count_per_frame: int, frames: int) -> np.ndarray:
     """Cumulative boundaries for ``frames`` equal groups of ``count_per_frame``."""
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
-    if count_per_frame < 0:
-        raise ValueError(f"count_per_frame must be >= 0, got {count_per_frame}")
-    return np.arange(frames + 1, dtype=np.int64) * count_per_frame
+    frames = check_count(frames, "frames", 1)
+    return np.arange(frames + 1, dtype=np.int64) * check_count(count_per_frame, "count_per_frame")
 
 
 def check_cu_seqlens(cu: np.ndarray, packed_len: int, name: str = "cu_seqlens") -> np.ndarray:
@@ -198,9 +202,7 @@ def seeded_random_tensor(
     Note that the float32 and float64 paths consume the stream differently,
     so precision is part of the identity of a generated tensor.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(d < 0 for d in dims):
-        raise ValueError(f"dims must be non-negative, got {dims}")
+    dims = tuple(check_count(d, "dims") for d in dims)
     total = 1
     for d in dims:
         total *= d
@@ -235,20 +237,18 @@ def precision_name(dtype: np.dtype) -> str:
 # ---------------------------------------------------------------------------
 
 _WORDS_PER_LINE = 8
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def write_golden(path, tensor: np.ndarray) -> None:
     """Write a (B, H, S, D) tensor to ``path`` in the golden-vector format."""
     tensor = check_attn_tensor(tensor, "golden tensor")
-    name = precision_name(tensor.dtype)
-    uint_dtype = np.uint32 if tensor.dtype == np.float32 else np.uint64
-    width = 8 if tensor.dtype == np.float32 else 16
-    words = tensor.reshape(-1).view(uint_dtype)
+    size = tensor.itemsize
+    data = tensor.astype(tensor.dtype.newbyteorder(">")).tobytes()
+    line = _WORDS_PER_LINE * size
     b, h, s, d = tensor.shape
-    lines = [f"GV1 {b} {h} {s} {d} {name}"]
-    for i in range(0, words.size, _WORDS_PER_LINE):
-        chunk = words[i : i + _WORDS_PER_LINE]
-        lines.append(" ".join(f"{int(w):0{width}x}" for w in chunk))
+    lines = [f"GV1 {b} {h} {s} {d} {precision_name(tensor.dtype)}"]
+    lines += [data[i : i + line].hex(" ", size) for i in range(0, len(data), line)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -276,8 +276,7 @@ def read_golden(path) -> np.ndarray:
     if header[5] not in PRECISIONS:
         raise GoldenFileError(f"{path}: unknown precision {header[5]!r}")
     dtype = np.dtype(PRECISIONS[header[5]])
-    width = 8 if dtype == np.float32 else 16
-    uint_dtype = np.uint32 if dtype == np.float32 else np.uint64
+    width = 2 * dtype.itemsize
 
     tokens = " ".join(lines[1:]).split()
     expected = dims[0] * dims[1] * dims[2] * dims[3]
@@ -285,15 +284,13 @@ def read_golden(path) -> np.ndarray:
         raise GoldenFileError(
             f"{path}: declared dims {dims} need {expected} words, found {len(tokens)}"
         )
-    words = np.empty(expected, dtype=uint_dtype)
     for i, tok in enumerate(tokens):
         if len(tok) != width:
             raise GoldenFileError(f"{path}: word {i} has {len(tok)} hex chars, expected {width}")
-        try:
-            words[i] = int(tok, 16)
-        except ValueError as exc:
-            raise GoldenFileError(f"{path}: word {i} is not hexadecimal: {tok!r}") from exc
-    data = words.view(dtype).reshape(dims)
+        if not _HEX_DIGITS.issuperset(tok):
+            raise GoldenFileError(f"{path}: word {i} is not hexadecimal: {tok!r}")
+    words = np.frombuffer(bytes.fromhex("".join(tokens)), dtype.newbyteorder(">"))
+    data = words.astype(dtype).reshape(dims)
     if not np.all(np.isfinite(data)):
         raise GoldenFileError(f"{path}: non-finite value in data")
     return data

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttnPartial, check_cu_seqlens, check_qkv
+from .core import AttnPartial, check_count, check_cu_seqlens, check_qkv
 from .merge import merge_partials
 
 __all__ = ["TileConfig", "flash_forward", "flash_varlen_forward"]
@@ -71,8 +71,8 @@ class TileConfig:
     k_block: int = 512
 
     def __post_init__(self) -> None:
-        if self.q_block < 1 or self.k_block < 1:
-            raise ValueError(f"tile blocks must be >= 1, got {self}")
+        for name in ("q_block", "k_block"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
 
 
 def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:

@@ -35,6 +35,7 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial, out: AttnPartial | None = N
 
     The result is written into ``out`` and returned; ``out`` may be ``p1``
     but not share memory with ``p2``.  Without ``out`` it is a fresh partial.
+    An lse that is NaN or +inf breaks the AttnPartial contract and is rejected.
     """
     o1, lse1 = p1
     o2, lse2 = p2
@@ -50,6 +51,11 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial, out: AttnPartial | None = N
         raise ValueError("merge_partials out must not share memory with p2, which it would overwrite")
     l1 = np.asarray(lse1, dtype=np.float64)
     l2 = np.asarray(lse2, dtype=np.float64)
+    for name, l in (("p1", l1), ("p2", l2)):
+        # NaN and +inf both reach the max, so one reduction finds them.
+        if l.size and not l.max() < np.inf:
+            where = tuple(int(i) for i in np.argwhere(~(l < np.inf))[0])
+            raise ValueError(f"{name} has lse {l[where]} at {where}; an lse must be finite or -inf")
     lse = np.logaddexp(l1, l2)
     # exp(-inf - -inf) for a row that is empty on both sides is defined as 0.
     both_empty = np.isneginf(lse)

@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     AttnPartial,
     TokenLayout,
+    check_count,
     check_finite,
     check_qkv,
     per_frame_cu_seqlens,
@@ -190,16 +191,13 @@ class ProjectionSet:
             w = getattr(self, name)
             if w.shape != (c, c):
                 raise ValueError(f"{name} must be square ({c}, {c}), got {w.shape}")
-        if self.heads < 1 or c % self.heads != 0:
+        object.__setattr__(self, "heads", check_count(self.heads, "heads", 1))
+        if c % self.heads != 0:
             raise ValueError(f"heads={self.heads} must divide model_dim={c}")
 
     @property
     def model_dim(self) -> int:
         return self.wq.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
 
 
 def seeded_projection_set(model_dim: int, heads: int, seed: int, precision: type = np.float32) -> ProjectionSet:

@@ -318,11 +318,11 @@ def test_criterion_8_performance_separation():
     )
     naive = run_case(headline, "naive")
     decomposed = run_case(headline, "decomposed")
-    assert naive.status == "ok" and decomposed.status == "ok"
-    assert decomposed.wall_ms_median < naive.wall_ms_median, (
-        decomposed.wall_ms_median, naive.wall_ms_median,
+    assert naive["status"] == "ok" and decomposed["status"] == "ok"
+    assert decomposed["wall_ms_median"] < naive["wall_ms_median"], (
+        decomposed["wall_ms_median"], naive["wall_ms_median"],
     )
-    mem_ratio = decomposed.peak_bytes / naive.peak_bytes
+    mem_ratio = decomposed["peak_bytes"] / naive["peak_bytes"]
     assert mem_ratio <= 0.25, mem_ratio
 
     # doubling sweep: naive peak memory must scale ~quadratically, the
@@ -334,8 +334,8 @@ def test_criterion_8_performance_separation():
                          precision=np.float32, seed=5, repeats=3)
         for impl in ("naive", "decomposed"):
             rec = run_case(case, impl)
-            assert rec.status == "ok"
-            peaks[impl].append(rec.peak_bytes)
+            assert rec["status"] == "ok"
+            peaks[impl].append(rec["peak_bytes"])
     naive_ratios = [b / a for a, b in zip(peaks["naive"], peaks["naive"][1:])]
     decomposed_ratios = [b / a for a, b in zip(peaks["decomposed"], peaks["decomposed"][1:])]
     assert all(r >= 3.5 for r in naive_ratios), naive_ratios
@@ -343,7 +343,7 @@ def test_criterion_8_performance_separation():
 
     _report(
         8, "performance separation", started,
-        f"wall ms decomposed {decomposed.wall_ms_median:.0f} < naive {naive.wall_ms_median:.0f}; "
+        f"wall ms decomposed {decomposed['wall_ms_median']:.0f} < naive {naive['wall_ms_median']:.0f}; "
         f"peak bytes ratio {mem_ratio:.3f} <= 0.25; "
         f"sweep naive x{[f'{r:.2f}' for r in naive_ratios]}, "
         f"decomposed x{[f'{r:.2f}' for r in decomposed_ratios]}",

@@ -35,10 +35,10 @@ def test_measure_peak_bytes_sees_numpy_allocations():
 @pytest.mark.parametrize("impl", bench.IMPLS)
 def test_run_case_records_time_and_peak(impl):
     rec = run_case(_tiny_case(), impl)
-    assert rec.impl == impl and rec.status == "ok"
-    assert 0 < rec.wall_ms_p10 <= rec.wall_ms_median <= rec.wall_ms_p90
-    assert rec.peak_bytes > 0
-    assert "max_abs_diff" not in rec.to_dict()
+    assert rec["impl"] == impl and rec["status"] == "ok"
+    assert 0 < rec["wall_ms_p10"] <= rec["wall_ms_median"] <= rec["wall_ms_p90"]
+    assert rec["peak_bytes"] > 0
+    assert "max_abs_diff" not in rec
 
 
 def test_naive_oom_reported_as_record(monkeypatch):
@@ -47,8 +47,8 @@ def test_naive_oom_reported_as_record(monkeypatch):
 
     monkeypatch.setattr(bench, "naive_attention", exploding)
     rec = run_case(_tiny_case(), "naive")
-    assert rec.status == "naive-oom"
-    assert rec.wall_ms_median is None and rec.peak_bytes is None
+    assert rec["status"] == "naive-oom"
+    assert not {"wall_ms_median", "wall_ms_p10", "wall_ms_p90", "peak_bytes"} & rec.keys()
 
 
 def test_decomposed_memory_error_propagates(monkeypatch):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, output formats, golden workflows."""
 
+import argparse
 import json
 import re
 import shlex
@@ -183,7 +184,23 @@ def _readme_cli_commands() -> list[str]:
     return [line for line in lines if line.startswith("syncattn ")]
 
 
+def _readme_flags(lead: str) -> set[str]:
+    """The backticked flags of the README sentence that starts with ``lead``."""
+    sentence = re.search(rf"{lead}(.*?)\.\s", README.read_text(), re.DOTALL).group(1)
+    return set(re.findall(r"`(--[a-z-]+)", sentence))
+
+
+def _parser_flags(command: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for a in sub.choices[command]._actions for flag in a.option_strings} - {"-h", "--help"}
+
+
 class TestReadme:
+    def test_flag_lists_match_the_parser(self):
+        shared = _readme_flags("Shared flags:")
+        assert shared == _parser_flags("validate")
+        assert shared | _readme_flags("Bench adds") == _parser_flags("bench")
+
     def test_cli_commands_parse(self):
         commands = _readme_cli_commands()
         assert {shlex.split(c)[1] for c in commands} == {"validate", "bench", "golden"}

@@ -7,6 +7,7 @@ from syncattn.bench import measure_peak_bytes
 from syncattn.core import (
     GoldenFileError,
     TokenLayout,
+    check_count,
     check_cu_seqlens,
     check_qkv,
     per_frame_cu_seqlens,
@@ -55,6 +56,27 @@ class TestSegmentOffsets:
         with pytest.raises(ValueError):
             TokenLayout(frames=1, video_per_frame=-1, audio_per_frame=0)
 
+    @pytest.mark.parametrize("sizes", [(2.5, 2, 1), (2, 2.0, 1), (True, 1, 1), (1, 1, 1, np.float64(3))])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TokenLayout(*sizes)
+
+    def test_numpy_sizes_stored_as_int(self):
+        layout = TokenLayout(np.int64(2), np.int32(3), 1)
+        assert type(layout.frames) is int and type(layout.video_per_frame) is int
+        assert layout == TokenLayout(2, 3, 1)
+
+
+class TestCheckCount:
+    def test_accepts_python_and_numpy_ints(self):
+        for value in (3, np.int64(3), np.uint8(3)):
+            assert check_count(value, "n") == 3 and type(check_count(value, "n")) is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, 2.5, np.float32(2), "2", None])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_count(value, "n")
+
 
 class TestCuSeqlens:
     def test_examples(self):
@@ -78,6 +100,14 @@ class TestCuSeqlens:
             check_cu_seqlens(np.array([0, 3, 2]), 2)
         with pytest.raises(ValueError):
             check_cu_seqlens(np.array([0, 2]), 3)
+
+    def test_per_frame_sizes_must_be_integers(self):
+        with pytest.raises(ValueError, match="count_per_frame must be an integer"):
+            per_frame_cu_seqlens(2.5, 3)
+        with pytest.raises(ValueError, match="frames must be an integer"):
+            per_frame_cu_seqlens(2, 3.0)
+        with pytest.raises(ValueError, match="frames must be >= 1"):
+            per_frame_cu_seqlens(2, 0)
 
 
 class TestCheckQkv:
@@ -121,6 +151,13 @@ class TestSeededRandomTensor:
     def test_bad_precision_rejected(self):
         with pytest.raises(ValueError):
             seeded_random_tensor((1, 1, 2, 2), 0, np.int32)
+
+    def test_non_integer_dims_rejected(self):
+        # Truncating 2.9 to 2 would silently return a smaller tensor.
+        with pytest.raises(ValueError, match="dims must be an integer"):
+            seeded_random_tensor((1, 1, 2.9, 1), 1)
+        with pytest.raises(ValueError, match="dims must be >= 0"):
+            seeded_random_tensor((1, 1, -1, 1), 1)
 
 
 class TestGoldenIO:
@@ -171,4 +208,12 @@ class TestGoldenIO:
         path = tmp_path / "hex.gv"
         path.write_text("GV1 1 1 1 1 f32\nzf800000\n")
         with pytest.raises(GoldenFileError, match="hexadecimal"):
+            read_golden(path)
+
+    @pytest.mark.parametrize("word", ["0x3f8000", "+3f80000", "3f8_0000"])
+    def test_only_plain_hex_digits_accepted(self, tmp_path, word):
+        # int(word, 16) would take a prefix, a sign or an underscore.
+        path = tmp_path / "plain.gv"
+        path.write_text(f"GV1 1 1 1 1 f32\n{word}\n")
+        with pytest.raises(GoldenFileError, match="not hexadecimal"):
             read_golden(path)

@@ -120,8 +120,12 @@ class TestFlashForward:
             flash_forward(q, q.astype(np.float64), q)
         with pytest.raises(ValueError, match="4 axes"):
             flash_forward(q[0], q[0], q[0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="q_block must be >= 1"):
             TileConfig(0, 64)
+        with pytest.raises(ValueError, match="q_block must be an integer"):
+            TileConfig(2.5, 2)
+        with pytest.raises(ValueError, match="k_block must be an integer"):
+            TileConfig(2, True)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_head_dim_rejected(self):

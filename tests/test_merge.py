@@ -102,6 +102,19 @@ class TestMergePartials:
         with pytest.raises(ValueError):
             merge_partials(p, q)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nan_or_positive_inf_lse_rejected(self, bad):
+        # An lse is finite, or -inf for a row that saw no keys; anything else
+        # would turn the merged row into NaN.
+        good = AttnPartial(np.ones((1, 2, 3, 3)), np.zeros((1, 2, 3)))
+        broken = AttnPartial(np.ones((1, 2, 3, 3)), np.zeros((1, 2, 3)))
+        broken.lse[0, 1, 2] = bad
+        with pytest.raises(ValueError, match=r"p1 has lse .* at \(0, 1, 2\)"):
+            merge_partials(broken, good)
+        with pytest.raises(ValueError, match=r"p2 has lse .* at \(0, 1, 2\)"):
+            merge_partials(good, broken)
+
 
 class TestMergeInto:
     """merge_partials(p1, p2, out=p1) writes the pure call's bits into p1."""

@@ -603,6 +603,16 @@ class TestConfigLayerForward:
                                              rf"c_audio={np.dtype(audio).name} wq="):
             config_layer_forward(xv.astype(video), ca.astype(audio), layout, CROSS, w)
 
+    def test_heads_must_be_a_count(self):
+        w = seeded_projection_set(8, 2, 8)
+        mats = (w.wq, w.wk, w.wv, w.wo)
+        with pytest.raises(ValueError, match="heads must be an integer"):
+            topology.ProjectionSet(*mats, 2.0)
+        with pytest.raises(ValueError, match="heads must be >= 1"):
+            topology.ProjectionSet(*mats, 0)
+        with pytest.raises(ValueError, match="must divide"):
+            topology.ProjectionSet(*mats, 3)
+
     def test_shape_validation(self):
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
         weights = seeded_projection_set(8, 2, 1)
