@@ -22,7 +22,7 @@ from .core import (
 )
 from .flow import euler_sample, fm_loss, interpolate, velocity_target
 from .kernel import TileConfig, flash_forward, flash_varlen_forward
-from .merge import merge_many, merge_partials
+from .merge import merge_partials
 from .reference import finite_diff_check, naive_attention, naive_backward
 from .rope import apply_rope, assign_coords, diagonal_1d_equivalence
 from .topology import (
@@ -30,7 +30,6 @@ from .topology import (
     ProjectionSet,
     build_mask,
     config_layer_forward,
-    mask_to_text,
     masked3d_forward,
     seeded_projection_set,
 )
@@ -55,9 +54,7 @@ __all__ = [
     "flash_varlen_forward",
     "fm_loss",
     "interpolate",
-    "mask_to_text",
     "masked3d_forward",
-    "merge_many",
     "merge_partials",
     "naive_attention",
     "naive_backward",

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import TokenLayout, precision_name, seeded_random_tensor
+from .core import TokenLayout, check_count, precision_name, seeded_random_tensor
 from .kernel import TileConfig
 from .reference import naive_attention
 from .topology import InjectionConfig, build_mask, masked3d_forward
@@ -44,8 +44,7 @@ class BenchCase:
 
 def time_repeats(fn, repeats: int) -> tuple[float, float, float]:
     """Median, p10, p90 wall-clock milliseconds over ``repeats`` calls."""
-    if repeats < 3:
-        raise ValueError(f"repeats must be >= 3 for a reported timing, got {repeats}")
+    repeats = check_count(repeats, "repeats", 3)  # a p10 and a p90 need three samples
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()

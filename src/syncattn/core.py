@@ -243,6 +243,7 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 def write_golden(path, tensor: np.ndarray) -> None:
     """Write a (B, H, S, D) tensor to ``path`` in the golden-vector format."""
     tensor = check_attn_tensor(tensor, "golden tensor")
+    check_finite(tensor, "golden tensor", "(batch, head, row, col)")
     size = tensor.itemsize
     data = tensor.astype(tensor.dtype.newbyteorder(">")).tobytes()
     line = _WORDS_PER_LINE * size

@@ -7,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import check_count
+
 __all__ = ["euler_sample", "fm_loss", "interpolate", "velocity_target"]
 
 
@@ -54,8 +56,7 @@ def euler_sample(
 
     x <- x + (1/steps) * velocity_fn(x, k/steps) for k = 0 .. steps-1.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = check_count(steps, "steps", 1)
     x = np.array(x0, copy=True)
     dt = 1.0 / steps
     for k in range(steps):

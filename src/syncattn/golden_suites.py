@@ -29,7 +29,7 @@ from .core import (
 )
 from .flow import euler_sample, fm_loss, interpolate
 from .kernel import TileConfig, flash_forward, flash_varlen_forward
-from .merge import merge_many
+from .merge import merge_partials
 from .reference import naive_attention
 from .rope import apply_rope, assign_coords
 from .topology import InjectionConfig, config_layer_forward, masked3d_forward, seeded_projection_set
@@ -76,7 +76,7 @@ def _merge_cases(dtype):
             naive_attention(q, k[:, :, a:b], v[:, :, a:b])
             for a, b in ((0, 30), (30, 55), (55, 90))
         ]
-        merged = merge_many(parts)
+        merged = merge_partials(merge_partials(parts[0], parts[1]), parts[2])
         return {"out": merged.out, "lse": _lse4(merged.lse)}
 
     return [("three_way", three_way)]

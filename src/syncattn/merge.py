@@ -20,14 +20,11 @@ array the size of the partial.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Iterable
-
 import numpy as np
 
 from .core import AttnPartial
 
-__all__ = ["merge_many", "merge_partials"]
+__all__ = ["merge_partials"]
 
 
 def merge_partials(p1: AttnPartial, p2: AttnPartial, out: AttnPartial | None = None) -> AttnPartial:
@@ -67,10 +64,3 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial, out: AttnPartial | None = N
     np.add(out.out, o2 * w2, out=out.out)
     return out
 
-
-def merge_many(parts: Iterable[AttnPartial]) -> AttnPartial:
-    """Left fold of merge_partials over one or more partials."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("merge_many needs at least one partial")
-    return reduce(merge_partials, parts)

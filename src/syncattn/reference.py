@@ -12,13 +12,11 @@ attention; ``finite_diff_check`` verifies it against central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AttnPartial, check_attn_tensor, check_qkv, seeded_random_tensor
+from .core import AttnPartial, check_attn_tensor, check_finite, check_qkv, seeded_random_tensor
 
-__all__ = ["GradCheckReport", "finite_diff_check", "naive_attention", "naive_backward"]
+__all__ = ["finite_diff_check", "naive_attention", "naive_backward"]
 
 FD_STEP = 1e-5  # finite_diff_check's central-difference step
 FD_TOL = 1e-4  # finite_diff_check's bound on each gradient's relative error
@@ -102,6 +100,7 @@ def naive_backward(q, k, v, dout, mask=None):
     dout = check_attn_tensor(dout, "dout")
     if dout.shape != q.shape:
         raise ValueError(f"dout {dout.shape} must match the output shape {q.shape}")
+    check_finite(dout, "dout", "(batch, head, row, col)")
     b, h, s_q, d = q.shape
     s_k = k.shape[2]
     allow = _as_allow(mask, s_q, s_k)
@@ -122,25 +121,6 @@ def naive_backward(q, k, v, dout, mask=None):
     return dq, dk, dv
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
-    """Result of comparing analytic gradients against central differences.
-
-    Relative errors are sup-norm ratios: ``max|analytic - numeric|`` over
-    the sup norm of the numeric gradient of that tensor (an exactly-zero
-    gradient pair scores 0).
-    """
-
-    max_rel_err_dq: float
-    max_rel_err_dk: float
-    max_rel_err_dv: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_rel_err_dq, self.max_rel_err_dk, self.max_rel_err_dv) <= self.tol
-
-
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     diff = float(np.max(np.abs(analytic - numeric))) if analytic.size else 0.0
     scale = float(np.max(np.abs(numeric))) if numeric.size else 0.0
@@ -149,14 +129,17 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return diff / max(scale, 1e-12)
 
 
-def finite_diff_check(q, k, v, mask=None, seed: int = 0) -> GradCheckReport:
-    """Check naive_backward against central finite differences of step
-    FD_STEP; the check passes when every relative error is within FD_TOL.
+def finite_diff_check(q, k, v, mask=None, seed: int = 0) -> tuple[float, float, float]:
+    """Relative errors ``(dq, dk, dv)`` of naive_backward against central
+    finite differences of step FD_STEP; the check passes when all three
+    are <= FD_TOL.
 
-    The scalar loss is ``sum(output * dO)`` for a seeded random dO, so its
-    gradients are exactly what naive_backward returns.  Inputs must be
-    float64 and carry at most 4096 elements in total (each element costs
-    two full forward passes).
+    Each error is a sup-norm ratio: ``max|analytic - numeric|`` over the
+    sup norm of the numeric gradient of that tensor (an exactly-zero
+    gradient pair scores 0).  The scalar loss is ``sum(output * dO)`` for
+    a seeded random dO, so its gradients are exactly what naive_backward
+    returns.  Inputs must be float64 and carry at most 4096 elements in
+    total (each element costs two full forward passes).
     """
     q, k, v = check_qkv(q, k, v)
     if q.dtype != np.float64:
@@ -186,9 +169,4 @@ def finite_diff_check(q, k, v, mask=None, seed: int = 0) -> GradCheckReport:
         return grad
 
     dq, dk, dv = naive_backward(q, k, v, dout, mask)
-    return GradCheckReport(
-        max_rel_err_dq=_rel_err(dq, numeric_grad(0)),
-        max_rel_err_dk=_rel_err(dk, numeric_grad(1)),
-        max_rel_err_dv=_rel_err(dv, numeric_grad(2)),
-        tol=FD_TOL,
-    )
+    return _rel_err(dq, numeric_grad(0)), _rel_err(dk, numeric_grad(1)), _rel_err(dv, numeric_grad(2))

@@ -56,7 +56,6 @@ __all__ = [
     "block_plan",
     "build_mask",
     "config_layer_forward",
-    "mask_to_text",
     "masked3d_forward",
     "seeded_projection_set",
 ]
@@ -127,12 +126,6 @@ def build_mask(layout: TokenLayout, config: InjectionConfig) -> np.ndarray:
     return allow
 
 
-def mask_to_text(allow: np.ndarray) -> str:
-    """Textual bitmap of a mask: '#' for allowed, '.' for blocked, row per line."""
-    rows = ["".join("#" if a else "." for a in row) for row in allow]
-    return "\n".join(rows)
-
-
 def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig()) -> np.ndarray:
     """Frame-synchronized masked attention via decomposition and LSE merging.
 
@@ -175,7 +168,8 @@ def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
 class ProjectionSet:
     """Query/key/value/output projection matrices for one attention layer.
 
-    Each matrix is (model_dim, model_dim); ``heads`` splits model_dim into
+    Each matrix is (model_dim, model_dim) and finite, checked once here
+    rather than on every layer call; ``heads`` splits model_dim into
     per-head slices of width model_dim // heads.
     """
 
@@ -191,6 +185,7 @@ class ProjectionSet:
             w = getattr(self, name)
             if w.shape != (c, c):
                 raise ValueError(f"{name} must be square ({c}, {c}), got {w.shape}")
+            check_finite(w, name, "(row, col)")
         object.__setattr__(self, "heads", check_count(self.heads, "heads", 1))
         if c % self.heads != 0:
             raise ValueError(f"heads={self.heads} must divide model_dim={c}")

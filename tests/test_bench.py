@@ -22,6 +22,11 @@ def test_single_sample_timing_rejected():
         time_repeats(lambda: None, 1)
 
 
+def test_non_integer_repeats_rejected():
+    with pytest.raises(ValueError, match="repeats must be an integer"):
+        time_repeats(lambda: None, 3.5)
+
+
 def test_time_repeats_reports_percentiles():
     median, p10, p90 = time_repeats(lambda: sum(range(1000)), 5)
     assert 0 < p10 <= median <= p90

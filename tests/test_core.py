@@ -16,6 +16,8 @@ from syncattn.core import (
     segment_offsets,
     write_golden,
 )
+from syncattn.reference import naive_backward
+from syncattn.rope import apply_rope
 
 
 class TestSegmentOffsets:
@@ -108,6 +110,27 @@ class TestCuSeqlens:
             per_frame_cu_seqlens(2, 3.0)
         with pytest.raises(ValueError, match="frames must be >= 1"):
             per_frame_cu_seqlens(2, 0)
+
+
+class TestEntryPointsCheckFinite:
+    @pytest.mark.parametrize(
+        "name,bad,call",
+        [
+            ("dout", np.nan, lambda x, bad, path: naive_backward(x, x, x, bad)),
+            ("tensor", np.inf, lambda x, bad, path: apply_rope(bad, np.zeros((5, 3), np.int64))),
+            ("golden tensor", np.nan, lambda x, bad, path: write_golden(path, bad)),
+        ],
+        ids=["naive_backward", "apply_rope", "write_golden"],
+    )
+    def test_entry_points_name_non_finite_tensor(self, tmp_path, name, bad, call):
+        x = seeded_random_tensor((1, 2, 5, 8), 70, np.float64)
+        y = x.copy()
+        y[0, 1, 3, 6] = bad
+        path = tmp_path / "bad.gv"
+        with pytest.raises(ValueError, match=rf"{name} has a non-finite value {bad} at "
+                                             rf"\(batch, head, row, col\) \(0, 1, 3, 6\)"):
+            call(x, y, path)
+        assert not path.exists()
 
 
 class TestCheckQkv:

@@ -116,6 +116,12 @@ class TestEulerSample:
         with pytest.raises(ValueError):
             euler_sample(lambda x, t: x, x0, 0)
 
+    @pytest.mark.parametrize("steps", [True, 2.5])
+    def test_non_integer_steps_rejected(self, steps):
+        x0, _ = _pair(12)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            euler_sample(lambda x, t: x, x0, steps)
+
     def test_velocity_shape_violation_rejected(self):
         x0, _ = _pair(13)
         with pytest.raises(ValueError, match="velocity_fn"):

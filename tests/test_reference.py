@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from syncattn.core import seeded_random_tensor
-from syncattn.reference import finite_diff_check, naive_attention, naive_backward
+from syncattn.reference import FD_TOL, finite_diff_check, naive_attention, naive_backward
 
 
 def _rand(shape, seed, dtype=np.float64):
@@ -144,8 +144,8 @@ class TestBackward:
         q = _rand((1, 1, 4, 4), 91)
         k = _rand((1, 1, 6, 4), 92)
         v = _rand((1, 1, 6, 4), 93)
-        report = finite_diff_check(q, k, v, seed=9)
-        assert report.passed, report
+        errs = finite_diff_check(q, k, v, seed=9)
+        assert max(errs) <= FD_TOL, errs
 
 
 class TestFiniteDiffCheck:
@@ -157,7 +157,7 @@ class TestFiniteDiffCheck:
             q = _rand(shape_q, seed * 10)
             k = _rand(shape_k, seed * 10 + 1)
             v = _rand(shape_k, seed * 10 + 2)
-            assert finite_diff_check(q, k, v, seed=seed).passed
+            assert max(finite_diff_check(q, k, v, seed=seed)) <= FD_TOL
 
     def test_all_masked_row_passes_with_zero_dq(self):
         q = _rand((1, 1, 4, 4), 101)
@@ -165,7 +165,7 @@ class TestFiniteDiffCheck:
         v = _rand((1, 1, 5, 4), 103)
         mask = np.ones((4, 5), dtype=bool)
         mask[2] = False
-        assert finite_diff_check(q, k, v, mask, seed=4).passed
+        assert max(finite_diff_check(q, k, v, mask, seed=4)) <= FD_TOL
         dq, _, _ = naive_backward(q, k, v, _rand(q.shape, 5), mask)
         assert np.all(dq[0, 0, 2] == 0.0)
 
@@ -173,7 +173,7 @@ class TestFiniteDiffCheck:
         q = _rand((1, 2, 3, 4), 111)
         k = _rand((1, 2, 7, 4), 112)
         v = _rand((1, 2, 7, 4), 113)
-        assert finite_diff_check(q, k, v, seed=6).passed
+        assert max(finite_diff_check(q, k, v, seed=6)) <= FD_TOL
 
     def test_requires_float64(self):
         q = _rand((1, 1, 2, 4), 121, np.float32)

@@ -5,6 +5,7 @@ import pytest
 
 from syncattn.core import TokenLayout, seeded_random_tensor, segment_offsets
 from syncattn.rope import (
+    DIAGONAL_TOL,
     apply_rope,
     assign_coords,
     default_axis_split,
@@ -54,6 +55,12 @@ class TestAssignCoords:
         # (-2) * (-2) has the right cell count but would give negative coordinates.
         with pytest.raises(ValueError, match="non-negative"):
             assign_coords(layout, (-2, -2))
+
+    @pytest.mark.parametrize("grid,cells", [((2.0, 2.0), 4), ((True, True), 1)])
+    def test_non_integer_grid_rejected(self, grid, cells):
+        layout = TokenLayout(frames=1, video_per_frame=cells, audio_per_frame=0)
+        with pytest.raises(ValueError, match="video_grid rows must be an integer"):
+            assign_coords(layout, grid)
 
 
 class TestFrequencies:
@@ -147,11 +154,13 @@ class TestApplyRope:
 
 class TestDiagonal1dEquivalence:
     def test_zero_position_zero_deviation(self):
-        report = diagonal_1d_equivalence(16, positions=(0,), cases=5)
-        assert report.max_abs_deviation == 0.0
-        assert report.passed
+        assert diagonal_1d_equivalence(16, positions=(0,), cases=5) == 0.0
+
+    def test_non_integer_head_dim_rejected(self):
+        with pytest.raises(ValueError, match="head_dim must be an integer"):
+            diagonal_1d_equivalence(16.0)
 
     def test_random_positions_match(self):
-        report = diagonal_1d_equivalence(32, cases=60)
-        assert report.passed
-        assert report.max_abs_deviation <= 1e-6
+        dev = diagonal_1d_equivalence(32, cases=60)
+        assert dev <= DIAGONAL_TOL
+        assert dev <= 1e-6

@@ -20,7 +20,6 @@ from syncattn.topology import (
     block_plan,
     build_mask,
     config_layer_forward,
-    mask_to_text,
     masked3d_forward,
     seeded_projection_set,
 )
@@ -195,8 +194,8 @@ class TestBuildMask:
 
     def test_text_bitmap(self):
         layout = TokenLayout(frames=2, video_per_frame=1, audio_per_frame=1, others_len=0)
-        text = mask_to_text(build_mask(layout, InjectionConfig.MASKED_3D))
-        assert text.splitlines() == ["###.", "##.#", "#.#.", ".#.#"]
+        expected = np.array([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=bool)
+        np.testing.assert_array_equal(build_mask(layout, InjectionConfig.MASKED_3D), expected)
 
 
 class TestMasked3dForward:
@@ -612,6 +611,17 @@ class TestConfigLayerForward:
             topology.ProjectionSet(*mats, 0)
         with pytest.raises(ValueError, match="must divide"):
             topology.ProjectionSet(*mats, 3)
+
+    @pytest.mark.parametrize("name,where,bad", [("wo", (0, 0), np.inf), ("wq", (3, 5), np.nan)])
+    def test_non_finite_projection_named(self, name, where, bad):
+        # Caught where the weight enters, not as a projected q position or
+        # as non-finite output values.
+        w = seeded_projection_set(8, 2, 8, np.float64)
+        mats = {n: getattr(w, n).copy() for n in ("wq", "wk", "wv", "wo")}
+        mats[name][where] = bad
+        with pytest.raises(ValueError, match=rf"{name} has a non-finite value {bad} at \(row, col\) "
+                                             rf"\({where[0]}, {where[1]}\)"):
+            topology.ProjectionSet(**mats, heads=2)
 
     def test_shape_validation(self):
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
