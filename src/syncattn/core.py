@@ -26,11 +26,10 @@ __all__ = [
     "GoldenFileError",
     "PRECISIONS",
     "TokenLayout",
-    "check_attn_tensor",
     "check_count",
     "check_cu_seqlens",
-    "check_finite",
     "check_qkv",
+    "check_tensor",
     "per_frame_cu_seqlens",
     "precision_name",
     "read_golden",
@@ -39,8 +38,10 @@ __all__ = [
     "write_golden",
 ]
 
-# Precision names used by the CLI and the golden-vector file format.
+# Precision names used by the CLI and the golden-vector file format, and the
+# axis names of an attention tensor as check_tensor reports them.
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
+QKV_AXES = ("batch", "head", "row", "col")
 
 # Hard cap on the flattened index space of generated tensors; anything
 # larger is a caller bug, not a workload this package supports.
@@ -129,28 +130,30 @@ def check_cu_seqlens(cu: np.ndarray, packed_len: int, name: str = "cu_seqlens") 
     return cu
 
 
-def check_attn_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """Validate the (batch, heads, seq, head_dim) axis convention and dtype."""
+def check_tensor(x, name: str, axes: tuple[str, ...]) -> np.ndarray:
+    """``x`` as an array with one axis per name in ``axes``, a precision in
+    PRECISIONS and only finite values: the first NaN or inf, which would poison
+    every query row that sees it, is named by its index along ``axes``."""
     x = np.asarray(x)
-    if x.ndim != 4:
-        raise ValueError(f"{name} must have 4 axes (batch, heads, seq, head_dim), got {x.ndim}")
-    if x.dtype not in (np.float32, np.float64):
-        raise ValueError(f"{name} must be float32 or float64, got {x.dtype}")
+    if x.ndim != len(axes):
+        raise ValueError(f"{name} must have {len(axes)} axes ({', '.join(axes)}), got {x.ndim}")
+    if x.dtype not in PRECISIONS.values():
+        raise ValueError(f"{name} must be {' or '.join(np.dtype(t).name for t in PRECISIONS.values())}, got {x.dtype}")
+    # NaN and +-inf reach the min or the max, so two reductions find them
+    # without a tensor-sized boolean mask; that is built on failure.
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        raise ValueError(f"{name} has a non-finite value {x[where]} at ({', '.join(axes)}) {where}")
     return x
 
 
 def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate one attention call's q, k, v; views are returned uncopied.
 
-    All three are (batch, heads, seq, head_dim) tensors of one precision;
+    Each passes ``check_tensor`` along QKV_AXES; the three share one precision,
     q and k share batch, heads and head_dim >= 1, and k and v share a shape.
-    Every value must be finite: a NaN or inf would silently poison every
-    query row that can see it, so the first bad (batch, head, row, col)
-    is reported instead.
     """
-    q = check_attn_tensor(q, "q")
-    k = check_attn_tensor(k, "k")
-    v = check_attn_tensor(v, "v")
+    q, k, v = check_tensor(q, "q", QKV_AXES), check_tensor(k, "k", QKV_AXES), check_tensor(v, "v", QKV_AXES)
     if not (q.dtype == k.dtype == v.dtype):
         raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype} v={v.dtype}")
     if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
@@ -159,18 +162,7 @@ def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"head_dim must be >= 1, got {q.shape[3]}")
     if k.shape != v.shape:
         raise ValueError(f"k {k.shape} and v {v.shape} must match")
-    for name, x in (("q", q), ("k", k), ("v", v)):
-        check_finite(x, name, "(batch, head, row, col)")
     return q, k, v
-
-
-def check_finite(x: np.ndarray, name: str, axes: str) -> None:
-    """Reject a NaN or inf in ``x``, naming the first one's index along ``axes``."""
-    # NaN and +-inf reach the min or the max, so two reductions find them
-    # without a tensor-sized boolean mask; that is built on failure.
-    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
-        where = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
-        raise ValueError(f"{name} has a non-finite value {x[where]} at {axes} {where}")
 
 
 class AttnPartial(NamedTuple):
@@ -208,11 +200,9 @@ def seeded_random_tensor(
         total *= d
     if total > _MAX_ELEMENTS:
         raise ValueError(f"requested {total} elements overflows the supported index space")
-    dtype = np.dtype(precision)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"precision must be float32 or float64, got {dtype}")
-    gen = np.random.Generator(np.random.Philox(seed))
-    return gen.standard_normal(size=dims, dtype=dtype)
+    precision_name(precision)  # rejects a precision outside PRECISIONS
+    gen = np.random.Generator(np.random.Philox(check_count(seed, "seed")))
+    return gen.standard_normal(size=dims, dtype=np.dtype(precision))
 
 
 def precision_name(dtype: np.dtype) -> str:
@@ -242,8 +232,7 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 def write_golden(path, tensor: np.ndarray) -> None:
     """Write a (B, H, S, D) tensor to ``path`` in the golden-vector format."""
-    tensor = check_attn_tensor(tensor, "golden tensor")
-    check_finite(tensor, "golden tensor", "(batch, head, row, col)")
+    tensor = check_tensor(tensor, "golden tensor", QKV_AXES)
     size = tensor.itemsize
     data = tensor.astype(tensor.dtype.newbyteorder(">")).tobytes()
     line = _WORDS_PER_LINE * size

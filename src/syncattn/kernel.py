@@ -148,11 +148,11 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     adjacent equal groups run as one stack.  Queries of a zero-key group
     get zero output and lse = -inf.
 
-    ``out``, if given, must hold a partial: arrays of shape (B, H, S_q, D)
+    ``out``, if given, is a partial or a plain pair: arrays of shape (B, H, S_q, D)
     and (B, H, S_q) in q's dtype, possibly strided views of larger arrays.
-    The call folds its keys into it, as ``merge_partials(out, fresh)``
-    would, and returns it; a unit merging into rows that are not empty adds
-    one unit-sized scratch partial.  ``out=None`` is a fresh empty partial.
+    The call folds its keys into it, as ``merge_partials(out, fresh)`` would,
+    and returns it as a partial; a unit merging into rows that are not empty
+    adds one unit-sized scratch partial.  ``out=None`` is a fresh empty partial.
     """
     q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
@@ -163,6 +163,8 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     b, h, s_q, d = q.shape
     if out is None:
         out = AttnPartial(np.zeros((b, h, s_q, d), q.dtype), np.full((b, h, s_q), -np.inf, q.dtype))
+    elif not isinstance(out, AttnPartial):
+        out = AttnPartial(*out)  # a plain (out, lse) pair
     for arr, shape in zip(out, ((b, h, s_q, d), (b, h, s_q))):
         if arr.shape != shape or arr.dtype != q.dtype:
             raise ValueError(f"out arrays must be {shape} {q.dtype}, got {arr.shape} {arr.dtype}")

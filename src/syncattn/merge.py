@@ -30,16 +30,18 @@ __all__ = ["merge_partials"]
 def merge_partials(p1: AttnPartial, p2: AttnPartial, out: AttnPartial | None = None) -> AttnPartial:
     """Merge two partials over disjoint key sets for the same queries.
 
-    The result is written into ``out`` and returned; ``out`` may be ``p1``
-    but not share memory with ``p2``.  Without ``out`` it is a fresh partial.
+    The partials must share shapes and precision.  The result is written into
+    ``out`` (a partial or a plain pair) and returned as a partial; ``out`` may be
+    ``p1`` but not share memory with ``p2``.  Without ``out`` it is a fresh partial.
     An lse that is NaN or +inf breaks the AttnPartial contract and is rejected.
     """
     o1, lse1 = p1
     o2, lse2 = p2
-    if o1.shape != o2.shape or lse1.shape != lse2.shape:
-        raise ValueError(
-            f"partial shapes differ: out {o1.shape} vs {o2.shape}, lse {lse1.shape} vs {lse2.shape}"
-        )
+    if o1.shape != o2.shape or lse1.shape != lse2.shape or o1.dtype != o2.dtype:
+        raise ValueError(f"partials differ: out {o1.shape} {o1.dtype} vs {o2.shape} {o2.dtype}, "
+                         f"lse {lse1.shape} vs {lse2.shape}")
+    if out is not None and not isinstance(out, AttnPartial):
+        out = AttnPartial(*out)  # a plain (out, lse) pair
     if out is None:
         out = AttnPartial(np.empty_like(o1), np.empty_like(lse1))
     elif out.out.shape != o1.shape or out.lse.shape != lse1.shape:

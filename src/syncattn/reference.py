@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AttnPartial, check_attn_tensor, check_finite, check_qkv, seeded_random_tensor
+from .core import QKV_AXES, AttnPartial, check_qkv, check_tensor, seeded_random_tensor
 
 __all__ = ["finite_diff_check", "naive_attention", "naive_backward"]
 
@@ -97,10 +97,9 @@ def naive_backward(q, k, v, dout, mask=None):
     Masked entries have P = 0 and therefore contribute nothing.
     """
     q, k, v = check_qkv(q, k, v)
-    dout = check_attn_tensor(dout, "dout")
+    dout = check_tensor(dout, "dout", QKV_AXES)
     if dout.shape != q.shape:
         raise ValueError(f"dout {dout.shape} must match the output shape {q.shape}")
-    check_finite(dout, "dout", "(batch, head, row, col)")
     b, h, s_q, d = q.shape
     s_k = k.shape[2]
     allow = _as_allow(mask, s_q, s_k)

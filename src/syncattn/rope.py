@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TokenLayout, check_attn_tensor, check_count, check_finite, segment_offsets
+from .core import QKV_AXES, TokenLayout, check_count, check_tensor, segment_offsets
 
 __all__ = ["apply_rope", "assign_coords", "diagonal_1d_equivalence"]
 
@@ -112,8 +112,7 @@ def apply_rope(tensor: np.ndarray, coords: np.ndarray) -> np.ndarray:
     per token; all-zero coordinates are the identity.  Arithmetic runs in
     float64 and is cast back to the input precision.
     """
-    tensor = check_attn_tensor(tensor, "tensor")
-    check_finite(tensor, "tensor", "(batch, head, row, col)")
+    tensor = check_tensor(tensor, "tensor", QKV_AXES)
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError(f"coords must be (tokens, 3), got {coords.shape}")
@@ -150,6 +149,8 @@ def diagonal_1d_equivalence(
     largest absolute deviation is <= DIAGONAL_TOL.
     """
     _, freqs_x, freqs_y = frequencies(head_dim)
+    cases = check_count(cases, "cases", 1)
+    check_count(len(positions), "the number of positions", 1)
     d_xy = 2 * freqs_x.size  # default_axis_split gives d_x == d_y
     half = d_xy // 2
     combined = np.concatenate([freqs_x, freqs_y])

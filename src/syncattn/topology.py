@@ -39,8 +39,8 @@ from .core import (
     AttnPartial,
     TokenLayout,
     check_count,
-    check_finite,
     check_qkv,
+    check_tensor,
     per_frame_cu_seqlens,
     seeded_random_tensor,
     segment_offsets,
@@ -168,9 +168,9 @@ def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
 class ProjectionSet:
     """Query/key/value/output projection matrices for one attention layer.
 
-    Each matrix is (model_dim, model_dim) and finite, checked once here
-    rather than on every layer call; ``heads`` splits model_dim into
-    per-head slices of width model_dim // heads.
+    Each matrix is (model_dim, model_dim), float32 or float64 and finite,
+    checked once here rather than on every layer call; ``heads`` splits
+    model_dim into per-head slices of width model_dim // heads.
     """
 
     wq: np.ndarray
@@ -180,12 +180,11 @@ class ProjectionSet:
     heads: int
 
     def __post_init__(self) -> None:
+        mats = {name: check_tensor(getattr(self, name), name, ("row", "col")) for name in ("wq", "wk", "wv", "wo")}
         c = self.wq.shape[0]
-        for name in ("wq", "wk", "wv", "wo"):
-            w = getattr(self, name)
+        for name, w in mats.items():
             if w.shape != (c, c):
                 raise ValueError(f"{name} must be square ({c}, {c}), got {w.shape}")
-            check_finite(w, name, "(row, col)")
         object.__setattr__(self, "heads", check_count(self.heads, "heads", 1))
         if c % self.heads != 0:
             raise ValueError(f"heads={self.heads} must divide model_dim={c}")
@@ -243,18 +242,17 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     Returns the updated (x_video, c_audio), of the input shapes and each in
     its own memory: the attention wiring alone, with no residual, norm or MLP.
     """
-    x_video, c_audio = np.asarray(x_video), np.asarray(c_audio)
+    axes = ("batch", "row", "channel")
+    x_video, c_audio = check_tensor(x_video, "x_video", axes), check_tensor(c_audio, "c_audio", axes)
     f, n, l, c = layout.frames, layout.video_per_frame, layout.audio_per_frame, weights.model_dim
-    if x_video.ndim != 3 or x_video.shape[1:] != (f * n, c):
+    if x_video.shape[1:] != (f * n, c):
         raise ValueError(f"x_video must be (B, {f * n}, {c}), got {x_video.shape}")
-    if c_audio.ndim != 3 or c_audio.shape[1:] != (f * l, c) or c_audio.shape[0] != x_video.shape[0]:
+    if c_audio.shape[1:] != (f * l, c) or c_audio.shape[0] != x_video.shape[0]:
         raise ValueError(f"c_audio must be ({x_video.shape[0]}, {f * l}, {c}), got {c_audio.shape}")
     named = {"x_video": x_video, "c_audio": c_audio, **{w: getattr(weights, w) for w in ("wq", "wk", "wv", "wo")}}
-    if {a.dtype for a in named.values()} not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+    if len({a.dtype for a in named.values()}) > 1:
         got = " ".join(f"{name}={a.dtype}" for name, a in named.items())
-        raise ValueError(f"streams and projections must share one precision, float32 or float64, got {got}")
-    check_finite(x_video, "x_video", "(batch, row, channel)")
-    check_finite(c_audio, "c_audio", "(batch, row, channel)")
+        raise ValueError(f"streams and projections must share one precision, got {got}")
     b, h, tile = x_video.shape[0], weights.heads, TileConfig()
     fold = config in (InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
     keep_audio = config not in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO)

@@ -10,6 +10,7 @@ from syncattn.core import (
     check_count,
     check_cu_seqlens,
     check_qkv,
+    check_tensor,
     per_frame_cu_seqlens,
     read_golden,
     seeded_random_tensor,
@@ -133,6 +134,18 @@ class TestEntryPointsCheckFinite:
         assert not path.exists()
 
 
+class TestCheckTensor:
+    def test_rank_named_by_axes(self):
+        with pytest.raises(ValueError, match=r"w must have 2 axes \(row, col\), got 3"):
+            check_tensor(np.zeros((2, 2, 2)), "w", ("row", "col"))
+
+    def test_returns_the_array_uncopied(self):
+        x = seeded_random_tensor((1, 2, 3, 4), 5)
+        assert check_tensor(x, "x", ("batch", "head", "row", "col")) is x
+        listed = check_tensor([[1.0, 2.0]], "x", ("row", "col"))
+        assert isinstance(listed, np.ndarray) and listed.shape == (1, 2)
+
+
 class TestCheckQkv:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["q", "k", "v"])
@@ -174,6 +187,17 @@ class TestSeededRandomTensor:
     def test_bad_precision_rejected(self):
         with pytest.raises(ValueError):
             seeded_random_tensor((1, 1, 2, 2), 0, np.int32)
+
+    @pytest.mark.parametrize("seed,message", [(True, "seed must be an integer"), (1.5, "seed must be an integer"),
+                                              (-1, "seed must be >= 0")], ids=["bool", "float", "negative"])
+    def test_bad_seed_rejected(self, seed, message):
+        # True would silently generate seed 1's tensor.
+        with pytest.raises(ValueError, match=message):
+            seeded_random_tensor((1, 1, 2, 2), seed)
+
+    def test_numpy_integer_seed_keeps_its_bits(self):
+        a = seeded_random_tensor((1, 2, 3, 4), np.int64(9), np.float64)
+        assert a.tobytes() == seeded_random_tensor((1, 2, 3, 4), 9, np.float64).tobytes()
 
     def test_non_integer_dims_rejected(self):
         # Truncating 2.9 to 2 would silently return a smaller tensor.

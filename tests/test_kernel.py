@@ -416,6 +416,14 @@ class TestVarlenOut:
         assert got.out[:, :, zero_key_rows].tobytes() == kept.out[:, :, zero_key_rows].tobytes()
         assert got.lse[:, :, zero_key_rows].tobytes() == kept.lse[:, :, zero_key_rows].tobytes()
 
+    def test_folding_into_a_plain_pair(self):
+        q, k, v = self._inputs(np.float64)
+        fresh = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K)
+        pair = (np.zeros_like(fresh.out), np.full_like(fresh.lse, -np.inf))
+        got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=pair)
+        assert isinstance(got, AttnPartial) and got.out is pair[0] and got.lse is pair[1]
+        assert got.out.tobytes() == fresh.out.tobytes() and got.lse.tobytes() == fresh.lse.tobytes()
+
     def test_wrong_shape_or_dtype_rejected(self):
         q, k, v = self._inputs(np.float32)
         b, h, s, d = q.shape

@@ -160,6 +160,21 @@ class TestMergeInto:
             merge_partials(p1, p2, out=AttnPartial(np.empty_like(p1.out), p2.lse))
         assert np.array_equal(p2.out, before)
 
+    def test_into_a_plain_pair(self):
+        p1, p2 = self._pair(np.float64)
+        pure = merge_partials(p1, p2)
+        pair = (np.empty_like(p1.out), np.empty_like(p1.lse))
+        got = merge_partials(p1, p2, out=pair)
+        assert isinstance(got, AttnPartial) and got.out is pair[0] and got.lse is pair[1]
+        assert got.out.tobytes() == pure.out.tobytes() and got.lse.tobytes() == pure.lse.tobytes()
+
+    @pytest.mark.parametrize("first,second", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_mixed_precision_rejected(self, first, second):
+        # Otherwise the result's precision would follow the argument order.
+        p1, p2 = self._pair(first)[0], self._pair(second)[1]
+        with pytest.raises(ValueError, match=rf"{np.dtype(first).name} .* {np.dtype(second).name}"):
+            merge_partials(p1, p2)
+
     def test_out_shape_mismatch_rejected(self):
         p1, p2 = self._pair(np.float64)
         with pytest.raises(ValueError, match="out shapes"):

@@ -160,6 +160,17 @@ class TestDiagonal1dEquivalence:
         with pytest.raises(ValueError, match="head_dim must be an integer"):
             diagonal_1d_equivalence(16.0)
 
+    @pytest.mark.parametrize("cases,message", [(0, "cases must be >= 1"), (True, "cases must be an integer"),
+                                               (2.0, "cases must be an integer")], ids=["zero", "bool", "float"])
+    def test_bad_case_count_rejected(self, cases, message):
+        # cases=0 would return 0.0, a pass that checked nothing.
+        with pytest.raises(ValueError, match=message):
+            diagonal_1d_equivalence(16, cases=cases)
+
+    def test_empty_positions_rejected(self):
+        with pytest.raises(ValueError, match="number of positions must be >= 1"):
+            diagonal_1d_equivalence(16, positions=())
+
     def test_random_positions_match(self):
         dev = diagonal_1d_equivalence(32, cases=60)
         assert dev <= DIAGONAL_TOL

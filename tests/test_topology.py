@@ -590,10 +590,10 @@ class TestConfigLayerForward:
     @pytest.mark.parametrize(
         "video,audio,weights",  # weights: the dtypes of wq, wk, wv and wo
         [(np.float32, np.float32, [np.float64] * 4), (np.float64, np.float32, [np.float64] * 4),
-         (np.float64, np.float64, [np.float64] * 3 + [np.float32]), (np.float16, np.float16, [np.float16] * 4)],
-        ids=["f64_weights", "f32_audio", "f32_wo", "f16"],
+         (np.float64, np.float64, [np.float64] * 3 + [np.float32])],
+        ids=["f64_weights", "f32_audio", "f32_wo"],
     )
-    def test_mixed_or_unsupported_precision_rejected(self, video, audio, weights):
+    def test_mixed_precision_rejected(self, video, audio, weights):
         layout = TokenLayout(3, 4, 2)
         w = seeded_projection_set(8, 2, 8, np.float64)
         w = topology.ProjectionSet(*(m.astype(dt) for m, dt in zip((w.wq, w.wk, w.wv, w.wo), weights)), w.heads)
@@ -601,6 +601,19 @@ class TestConfigLayerForward:
         with pytest.raises(ValueError, match=rf"one precision.*x_video={np.dtype(video).name} "
                                              rf"c_audio={np.dtype(audio).name} wq="):
             config_layer_forward(xv.astype(video), ca.astype(audio), layout, CROSS, w)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.bool_], ids=["f16", "int", "bool"])
+    def test_unsupported_weight_precision_rejected_when_built(self, dtype):
+        # Refused as the set is built, not at its first layer call.
+        w = seeded_projection_set(8, 2, 8, np.float64)
+        with pytest.raises(ValueError, match=rf"wk must be float32 or float64, got {np.dtype(dtype).name}"):
+            topology.ProjectionSet(w.wq, w.wk.astype(dtype), w.wv, w.wo, w.heads)
+
+    def test_unsupported_stream_precision_rejected(self):
+        layout = TokenLayout(3, 4, 2)
+        xv, ca = self._streams(layout, 8, 1200, np.float64)
+        with pytest.raises(ValueError, match="c_audio must be float32 or float64, got float16"):
+            config_layer_forward(xv, ca.astype(np.float16), layout, CROSS, seeded_projection_set(8, 2, 8, np.float64))
 
     def test_heads_must_be_a_count(self):
         w = seeded_projection_set(8, 2, 8)
