@@ -21,8 +21,7 @@ from .core import (
     write_golden,
 )
 from .flow import euler_sample, fm_loss, interpolate, velocity_target
-from .kernel import TileConfig, flash_forward, flash_varlen_forward
-from .merge import merge_partials
+from .kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
 from .reference import finite_diff_check, naive_attention, naive_backward
 from .rope import apply_rope, assign_coords, diagonal_1d_equivalence
 from .topology import (

@@ -28,8 +28,7 @@ from .core import (
     write_golden,
 )
 from .flow import euler_sample, fm_loss, interpolate
-from .kernel import TileConfig, flash_forward, flash_varlen_forward
-from .merge import merge_partials
+from .kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
 from .reference import naive_attention
 from .rope import apply_rope, assign_coords
 from .topology import InjectionConfig, config_layer_forward, masked3d_forward, seeded_projection_set

@@ -23,11 +23,24 @@ order as it would with query blocks outermost, or alone in a stack of
 one, so results depend on the tile shape only, not on the loop order or
 the stacking.
 
+Two partials ``(O_1, lse_1)`` and ``(O_2, lse_2)`` over disjoint keys for
+the same queries merge into the full-key result via
+
+    lse = logaddexp(lse_1, lse_2)
+    O   = exp(lse_1 - lse) * O_1 + exp(lse_2 - lse) * O_2
+
+The empty partial (zero output, lse = -inf) is a two-sided identity, so
+an all-masked query row merges cleanly.  The fold that does this runs
+the lse arithmetic in float64 even for float32 partials, applies the
+weights in the tensors' own precision and forms ``O_1 * w_1`` in place
+before adding ``O_2 * w_2``: beyond O(rows) weights its only temporary is
+the weighted ``O_2``.  Disjointness of the key sets is the caller's
+obligation and is not checked.
+
 A call folds its keys into the partial it is given, one unit at a time.
 A unit whose rows hold the empty partial (zeros, lse -inf) accumulates in
 them as ``acc`` and ``m``; any other unit runs in a scratch partial of its
-own size and then merges it into its rows through the lse, of which the
-empty partial is the exact identity.  All tile arithmetic (matmuls,
+own size and then folds it into its rows.  All tile arithmetic (matmuls,
 ``exp``, the softmax state) runs in the input precision.  Memory per unit
 is O(S_q) for ``l``, one score tile of at most ``q_block * k_block``
 numbers, a PV product no larger (or, in a stack of one,
@@ -53,10 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttnPartial, check_count, check_cu_seqlens, check_qkv
-from .merge import merge_partials
+from .core import QKV_AXES, AttnPartial, check_count, check_cu_seqlens, check_qkv, check_tensor
 
-__all__ = ["TileConfig", "flash_forward", "flash_varlen_forward"]
+__all__ = ["TileConfig", "flash_forward", "flash_varlen_forward", "merge_partials"]
 
 # Default 256x512 tiles, from a sweep of the reference layout (2-core x86
 # machine, one OpenBLAS thread, float32 inputs and tile arithmetic): every
@@ -109,6 +121,48 @@ def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
     lse += np.log(l, out=l)
 
 
+def _check_lse(lse: np.ndarray, name: str) -> None:
+    """Refuse an lse holding NaN or +inf: each row's is finite, or -inf if it saw no keys."""
+    # NaN and +inf both reach the max, so one reduction finds them.
+    if lse.size and not lse.max() < np.inf:
+        where = tuple(int(i) for i in np.argwhere(~(lse < np.inf))[0])
+        raise ValueError(f"{name} has lse {lse[where]} at {where}; an lse must be finite or -inf")
+
+
+def _fold(dest: AttnPartial, part: AttnPartial) -> AttnPartial:
+    """Merge ``part`` into ``dest`` in place and return ``dest``."""
+    o1, lse1 = dest
+    o2, lse2 = part
+    l1 = np.asarray(lse1, dtype=np.float64)
+    l2 = np.asarray(lse2, dtype=np.float64)
+    lse = np.logaddexp(l1, l2)
+    # exp(-inf - -inf) for a row that is empty on both sides is defined as 0.
+    both_empty = np.isneginf(lse)
+    with np.errstate(invalid="ignore"):
+        w1 = np.where(both_empty, 0.0, np.exp(l1 - lse))[..., None].astype(o1.dtype)
+        w2 = np.where(both_empty, 0.0, np.exp(l2 - lse))[..., None].astype(o2.dtype)
+    lse1[...] = lse
+    o1 *= w1
+    o1 += o2 * w2
+    return dest
+
+
+def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
+    """Merge two partials over disjoint key sets for the same queries into a fresh one.
+
+    The partials must share shapes and precision.  An lse that is NaN or +inf
+    breaks the AttnPartial contract and is rejected.
+    """
+    o1, lse1 = p1
+    o2, lse2 = p2
+    if o1.shape != o2.shape or lse1.shape != lse2.shape or o1.dtype != o2.dtype:
+        raise ValueError(f"partials differ: out {o1.shape} {o1.dtype} vs {o2.shape} {o2.dtype}, "
+                         f"lse {lse1.shape} vs {lse2.shape}")
+    _check_lse(lse1, "p1")
+    _check_lse(lse2, "p2")
+    return _fold(AttnPartial(o1.copy(), lse1.copy()), p2)
+
+
 def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
     """Streaming attention over a dense equal-length batch, with LSE.
 
@@ -149,10 +203,11 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     get zero output and lse = -inf.
 
     ``out``, if given, is a partial or a plain pair: arrays of shape (B, H, S_q, D)
-    and (B, H, S_q) in q's dtype, possibly strided views of larger arrays.
-    The call folds its keys into it, as ``merge_partials(out, fresh)`` would,
-    and returns it as a partial; a unit merging into rows that are not empty
-    adds one unit-sized scratch partial.  ``out=None`` is a fresh empty partial.
+    and (B, H, S_q) in q's dtype, possibly strided views of larger arrays,
+    checked once here: finite rows, and an lse finite or -inf.  The call folds
+    its keys into it, bit for bit as ``merge_partials(out, fresh)`` would, and
+    returns it as a partial; a unit merging into rows that are not empty adds
+    one unit-sized scratch partial.  ``out=None`` is a fresh empty partial.
     """
     q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
@@ -163,21 +218,23 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     b, h, s_q, d = q.shape
     if out is None:
         out = AttnPartial(np.zeros((b, h, s_q, d), q.dtype), np.full((b, h, s_q), -np.inf, q.dtype))
-    elif not isinstance(out, AttnPartial):
-        out = AttnPartial(*out)  # a plain (out, lse) pair
-    for arr, shape in zip(out, ((b, h, s_q, d), (b, h, s_q))):
-        if arr.shape != shape or arr.dtype != q.dtype:
-            raise ValueError(f"out arrays must be {shape} {q.dtype}, got {arr.shape} {arr.dtype}")
+    else:
+        out = out if isinstance(out, AttnPartial) else AttnPartial(*out)  # a plain (out, lse) pair
+        for arr, shape in zip(out, ((b, h, s_q, d), (b, h, s_q))):
+            if arr.shape != shape or arr.dtype != q.dtype:
+                raise ValueError(f"out arrays must be {shape} {q.dtype}, got {arr.shape} {arr.dtype}")
+        check_tensor(out.out, "out", QKV_AXES)
+        _check_lse(out.lse, "out")
     stacks = _stacks(cu_q, cu_k, d, tile)
     for bi in range(b):
         for hi in range(h):
             for q0, k0, sq, sk, n in stacks:
                 rows, cols = slice(q0, q0 + n * sq), slice(k0, k0 + n * sk)
-                dest = AttnPartial(out.out[bi, hi, rows], out.lse[bi, hi, rows])  # (rows, D): one merge step
+                dest = AttnPartial(out.out[bi, hi, rows], out.lse[bi, hi, rows])  # (rows, D): one fold
                 empty = np.isneginf(dest.lse).all()
                 part = dest if empty else AttnPartial(np.zeros((n * sq, d), q.dtype), np.full(n * sq, -np.inf, q.dtype))
                 _flash_group(q[bi, hi, rows].reshape(n, sq, d), k[bi, hi, cols].reshape(n, sk, d),
                              v[bi, hi, cols].reshape(n, sk, d), part.out.reshape(n, sq, d), part.lse.reshape(n, sq), tile)
                 if not empty:
-                    merge_partials(dest, part, out=dest)
+                    _fold(dest, part)
     return out

@@ -107,6 +107,7 @@ def _rotate_segment(seg64: np.ndarray, angles: np.ndarray) -> np.ndarray:
 def apply_rope(tensor: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Rotate a (B, H, S, D) tensor by its per-token (t, x, y) coordinates.
 
+    ``coords`` is an integer (tokens, 3) array, as ``assign_coords`` returns;
     S must equal the coordinate count, and D is split by
     ``default_axis_split`` (even and >= 6).  The rotation is an isometry
     per token; all-zero coordinates are the identity.  Arithmetic runs in
@@ -114,6 +115,8 @@ def apply_rope(tensor: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """
     tensor = check_tensor(tensor, "tensor", QKV_AXES)
     coords = np.asarray(coords)
+    if coords.dtype.kind not in "iu":  # a float, bool or object coordinate is not a RopeCoords entry
+        raise ValueError(f"coords must be integers, got {coords.dtype}")
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError(f"coords must be (tokens, 3), got {coords.shape}")
     if tensor.shape[2] != coords.shape[0]:

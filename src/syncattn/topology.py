@@ -46,8 +46,7 @@ from .core import (
     segment_offsets,
 )
 # Unused flash_forward and merge_partials stay: benchmark/spans.py wraps both names here.
-from .kernel import TileConfig, flash_forward, flash_varlen_forward  # noqa: F401
-from .merge import merge_partials  # noqa: F401
+from .kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials  # noqa: F401
 
 __all__ = [
     "Block",
@@ -180,11 +179,13 @@ class ProjectionSet:
     heads: int
 
     def __post_init__(self) -> None:
-        mats = {name: check_tensor(getattr(self, name), name, ("row", "col")) for name in ("wq", "wk", "wv", "wo")}
-        c = self.wq.shape[0]
-        for name, w in mats.items():
+        names = ("wq", "wk", "wv", "wo")
+        mats = [check_tensor(getattr(self, name), name, ("row", "col")) for name in names]
+        c = mats[0].shape[0]
+        for name, w in zip(names, mats):
             if w.shape != (c, c):
                 raise ValueError(f"{name} must be square ({c}, {c}), got {w.shape}")
+            object.__setattr__(self, name, w)  # the checked array, also when built from nested lists
         object.__setattr__(self, "heads", check_count(self.heads, "heads", 1))
         if c % self.heads != 0:
             raise ValueError(f"heads={self.heads} must divide model_dim={c}")

@@ -16,8 +16,7 @@ from syncattn.bench import BenchCase, run_case, sweep_layouts
 from syncattn.core import AttnPartial, TokenLayout, seeded_random_tensor, segment_offsets
 from syncattn.flow import euler_sample, fm_loss, interpolate, velocity_target
 from syncattn.golden_suites import SUITES, check_suite, generate_suite
-from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
-from syncattn.merge import merge_partials
+from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
 from syncattn.reference import FD_TOL, finite_diff_check, naive_attention
 from syncattn.rope import DIAGONAL_TOL, apply_rope, assign_coords, diagonal_1d_equivalence
 from syncattn.topology import InjectionConfig, build_mask, masked3d_forward

@@ -6,8 +6,7 @@ import pytest
 from syncattn import kernel
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import AttnPartial, TokenLayout, per_frame_cu_seqlens, seeded_random_tensor
-from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
-from syncattn.merge import merge_partials
+from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
 from syncattn.reference import naive_attention
 from syncattn.topology import InjectionConfig, block_plan, build_mask, masked3d_forward
 
@@ -407,14 +406,19 @@ class TestVarlenOut:
         prior = flash_varlen_forward(q, k2, v2, self.CU_Q, cu_k2, tile)
         prior.out[:, :, 4], prior.lse[:, :, 4] = 0, -np.inf
         expected = merge_partials(prior, fresh)
-        kept = AttnPartial(prior.out.copy(), prior.lse.copy())
-        got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile, out=prior)
-        assert got is prior
-        assert got.out.tobytes() == expected.out.tobytes()
-        assert got.lse.tobytes() == expected.lse.tobytes()
+        # The prior on every other row of a NaN buffer, inside a wider head dimension.
+        big_out = np.full((2, 2, 2 * q.shape[2], 8), np.nan, dtype)
+        big_lse = np.full((2, 2, 2 * q.shape[2]), np.nan, dtype)
+        dest = AttnPartial(big_out[:, :, ::2, 1:7], big_lse[:, :, ::2])
+        dest.out[...], dest.lse[...] = prior
+        got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, tile, out=dest)
+        assert got is dest
+        assert np.ascontiguousarray(got.out).tobytes() == expected.out.tobytes()
+        assert np.ascontiguousarray(got.lse).tobytes() == expected.lse.tobytes()
         zero_key_rows = slice(self.CU_Q[4], self.CU_Q[5])  # the 3-query group with no keys
-        assert got.out[:, :, zero_key_rows].tobytes() == kept.out[:, :, zero_key_rows].tobytes()
-        assert got.lse[:, :, zero_key_rows].tobytes() == kept.lse[:, :, zero_key_rows].tobytes()
+        assert got.out[:, :, zero_key_rows].tobytes() == prior.out[:, :, zero_key_rows].tobytes()
+        assert got.lse[:, :, zero_key_rows].tobytes() == prior.lse[:, :, zero_key_rows].tobytes()
+        assert np.isnan(big_out[:, :, 1::2]).all() and np.isnan(big_lse[:, :, 1::2]).all()
 
     def test_folding_into_a_plain_pair(self):
         q, k, v = self._inputs(np.float64)
@@ -436,3 +440,35 @@ class TestVarlenOut:
         for dest in bad:
             with pytest.raises(ValueError, match="out arrays"):
                 flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=dest)
+
+    def test_non_finite_rows_rejected(self):
+        # Folding scales an empty row by 0, which would keep a NaN there.
+        q, k, v = _qkv(73, (1, 1, 6, 4), (1, 1, 6, 4))
+        rows = np.zeros((1, 1, 6, 4), np.float32)
+        rows[0, 0, 3] = np.nan
+        with pytest.raises(ValueError, match=r"out has a non-finite value nan at \(batch, head, row, col\) \(0, 0, 3, 0\)"):
+            flash_varlen_forward(q, k, v, [0, 6], [0, 6], out=(rows, np.full((1, 1, 6), -np.inf, np.float32)))
+
+    def test_infinite_rows_with_finite_lse_rejected(self):
+        q, k, v = self._inputs(np.float32)
+        dest = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K)
+        dest.out[0, 1, 2] = np.inf
+        with pytest.raises(ValueError, match=r"out has a non-finite value inf at \(batch, head, row, col\) \(0, 1, 2, 0\)"):
+            flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=dest)
+
+    @pytest.mark.parametrize("row", [9, 5], ids=["zero_key_group", "merging_unit"])
+    def test_nan_lse_named_along_batch_head_row(self, row):
+        # Row 9 is in the group with no keys, which no unit touches; row 5's
+        # unit merges into rows that already hold a partial.
+        q, k, v = self._inputs(np.float64)
+        dest = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K)
+        dest.lse[1, 0, row] = np.nan
+        with pytest.raises(ValueError, match=rf"out has lse nan at \(1, 0, {row}\); an lse must be finite or -inf"):
+            flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=dest)
+
+    def test_merge_partials_takes_no_out(self):
+        # The kernel's fold is the only merge in place; merge_partials is pure,
+        # so no caller's buffer can change its result's precision.
+        p = flash_varlen_forward(*self._inputs(np.float32), self.CU_Q, self.CU_K)
+        with pytest.raises(TypeError, match="out"):
+            merge_partials(p, p, out=(np.empty_like(p.out), np.empty_like(p.lse, np.float16)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from syncattn.core import AttnPartial, seeded_random_tensor
-from syncattn.merge import merge_partials
+from syncattn.kernel import merge_partials
 from syncattn.reference import naive_attention
 
 NEG_INF = -np.inf
@@ -117,68 +117,13 @@ class TestMergePartials:
         with pytest.raises(ValueError, match=r"p2 has lse .* at \(0, 1, 2\)"):
             merge_partials(good, broken)
 
-
-class TestMergeInto:
-    """merge_partials(p1, p2, out=p1) writes the pure call's bits into p1."""
-
-    @staticmethod
-    def _pair(dtype):
-        q, k, v = _qkv(51, (2, 3, 6, 8), (2, 3, 9, 8), dtype)
-        p1, p2 = _split_partials(q, k, v, [(0, 4), (4, 9)])
-        for p, empty_rows in ((p1, [0, 1]), (p2, [1, 2])):  # row 1 is empty on both sides
-            p.out[..., empty_rows, :] = 0.0
-            p.lse[..., empty_rows] = NEG_INF
-        return p1, p2
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_in_place_bit_identical_to_pure_call(self, dtype):
-        p1, p2 = self._pair(dtype)
-        pure = merge_partials(p1, p2)
-        into = merge_partials(p1, p2, out=p1)
-        assert into is p1
-        assert into.out.tobytes() == pure.out.tobytes()
-        assert into.lse.tobytes() == pure.lse.tobytes()
-        assert np.all(into.out[..., 1, :] == 0.0) and np.all(np.isneginf(into.lse[..., 1]))
-
-    def test_into_strided_views_of_a_larger_tensor(self):
-        p1, p2 = self._pair(np.float32)
-        pure = merge_partials(p1, p2)
-        out = np.zeros((2, 3, 10, 8), np.float32)
-        lse = np.full((2, 3, 10), NEG_INF, np.float32)
-        out[:, :, 4:], lse[:, :, 4:] = p1
-        here = AttnPartial(out[:, :, 4:], lse[:, :, 4:])
-        assert merge_partials(here, p2, out=here) is here
-        assert np.array_equal(out[:, :, 4:], pure.out) and np.array_equal(lse[:, :, 4:], pure.lse)
-        assert np.all(out[:, :, :4] == 0.0) and np.all(np.isneginf(lse[:, :, :4]))
-
-    def test_out_sharing_memory_with_p2_rejected(self):
-        p1, p2 = self._pair(np.float64)
-        before = p2.out.copy()
-        with pytest.raises(ValueError, match="share memory with p2"):
-            merge_partials(p1, p2, out=p2)
-        with pytest.raises(ValueError, match="share memory with p2"):
-            merge_partials(p1, p2, out=AttnPartial(np.empty_like(p1.out), p2.lse))
-        assert np.array_equal(p2.out, before)
-
-    def test_into_a_plain_pair(self):
-        p1, p2 = self._pair(np.float64)
-        pure = merge_partials(p1, p2)
-        pair = (np.empty_like(p1.out), np.empty_like(p1.lse))
-        got = merge_partials(p1, p2, out=pair)
-        assert isinstance(got, AttnPartial) and got.out is pair[0] and got.lse is pair[1]
-        assert got.out.tobytes() == pure.out.tobytes() and got.lse.tobytes() == pure.lse.tobytes()
-
     @pytest.mark.parametrize("first,second", [(np.float32, np.float64), (np.float64, np.float32)])
     def test_mixed_precision_rejected(self, first, second):
         # Otherwise the result's precision would follow the argument order.
-        p1, p2 = self._pair(first)[0], self._pair(second)[1]
+        p1 = _split_partials(*_qkv(51, (2, 3, 6, 8), (2, 3, 4, 8), first), [(0, 4)])[0]
+        p2 = _split_partials(*_qkv(52, (2, 3, 6, 8), (2, 3, 5, 8), second), [(0, 5)])[0]
         with pytest.raises(ValueError, match=rf"{np.dtype(first).name} .* {np.dtype(second).name}"):
             merge_partials(p1, p2)
-
-    def test_out_shape_mismatch_rejected(self):
-        p1, p2 = self._pair(np.float64)
-        with pytest.raises(ValueError, match="out shapes"):
-            merge_partials(p1, p2, out=AttnPartial(p1.out[:, :, :1], p1.lse[:, :, :1]))
 
 
 class TestMergeMany:

@@ -151,6 +151,17 @@ class TestApplyRope:
         with pytest.raises(ValueError, match="head_dim must be even"):
             apply_rope(seeded_random_tensor((1, 1, 4, 7), 13), np.zeros((4, 3), np.int64))
 
+    @pytest.mark.parametrize("bad,dtype", [
+        (np.nan, "float64"), (np.inf, "float64"), (0.5, "float64"), (True, "bool"), (1, "object"),
+    ], ids=["nan", "inf", "fractional", "bool", "object"])
+    def test_non_integer_coords_rejected(self, bad, dtype):
+        # A NaN or inf angle would make NaN outputs, a fractional one rotate
+        # between positions; coords are integer positions only.
+        coords = np.zeros((4, 3), dtype)
+        coords[2, 1] = bad
+        with pytest.raises(ValueError, match=f"coords must be integers, got {dtype}"):
+            apply_rope(seeded_random_tensor((1, 1, 4, 16), 14), coords)
+
 
 class TestDiagonal1dEquivalence:
     def test_zero_position_zero_deviation(self):

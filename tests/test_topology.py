@@ -625,6 +625,15 @@ class TestConfigLayerForward:
         with pytest.raises(ValueError, match="must divide"):
             topology.ProjectionSet(*mats, 3)
 
+    def test_list_built_set_matches_array_built(self):
+        layout = TokenLayout(frames=2, video_per_frame=3, audio_per_frame=2)
+        w = seeded_projection_set(8, 2, 8, np.float64)
+        listed = topology.ProjectionSet(*(getattr(w, n).tolist() for n in ("wq", "wk", "wv", "wo")), w.heads)
+        xv, ca = self._streams(layout, 8, 700, np.float64)
+        for got, want in zip(config_layer_forward(xv, ca, layout, InjectionConfig.MASKED_3D, listed),
+                             config_layer_forward(xv, ca, layout, InjectionConfig.MASKED_3D, w)):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name,where,bad", [("wo", (0, 0), np.inf), ("wq", (3, 5), np.nan)])
     def test_non_finite_projection_named(self, name, where, bad):
         # Caught where the weight enters, not as a projected q position or
