@@ -17,7 +17,11 @@ with every operation carrying the leading G axis:
     acc   = acc * alpha + exp(S_tile - m_new) @ V_tile
     m     = m_new
 
-The unit finishes with ``out = acc / l`` and ``lse = m + log(l)``.  Every
+On a unit's first key tile the state is empty (``m = -inf``, ``l = 0``,
+``acc = +0``), so that tile takes ``m_new = rowmax(S_tile)``, skips the
+rescaling, and writes its PV product straight into ``acc`` before adding
+``+0``: the same bits as ``0 + P``, a ``-0.0`` product included.  The unit
+finishes with ``out = acc / l`` and ``lse = m + log(l)``.  Every
 query row sees the same operations on the same key tiles in the same
 order as it would with query blocks outermost, or alone in a stack of
 one, so results depend on the tile shape only, not on the loop order or
@@ -32,20 +36,22 @@ the same queries merge into the full-key result via
 The empty partial (zero output, lse = -inf) is a two-sided identity, so
 an all-masked query row merges cleanly.  The fold that does this runs
 the lse arithmetic in float64 even for float32 partials, applies the
-weights in the tensors' own precision and forms ``O_1 * w_1`` in place
-before adding ``O_2 * w_2``: beyond O(rows) weights its only temporary is
-the weighted ``O_2``.  Disjointness of the key sets is the caller's
-obligation and is not checked.
+weights in the tensors' own precision and forms ``O_1 * w_1`` and
+``O_2 * w_2`` in place, each in its own operand, before adding the second
+to the first: beyond O(rows) weights it allocates nothing, and it
+overwrites ``O_2``, so it is only given arrays it may spend.  Disjointness
+of the key sets is the caller's obligation and is not checked.
 
 A call folds its keys into the partial it is given, one unit at a time.
 A unit whose rows hold the empty partial (zeros, lse -inf) accumulates in
 them as ``acc`` and ``m``; any other unit runs in a scratch partial of its
-own size and then folds it into its rows.  All tile arithmetic (matmuls,
-``exp``, the softmax state) runs in the input precision.  Memory per unit
-is O(S_q) for ``l``, one score tile of at most ``q_block * k_block``
-numbers, a PV product no larger (or, in a stack of one,
-``q_block * head_dim``) and a merging unit's scratch partial, none of it
-growing with the key length.
+own size, folds it into its rows and frees it before the next unit
+starts.  All tile arithmetic (matmuls, ``exp``, the softmax state) runs in
+the input precision.  Memory per unit is O(S_q) for ``l``, one score tile
+of at most ``q_block * k_block`` numbers and, on key tiles after the
+first, a PV product no larger (or, in a stack of one,
+``q_block * head_dim``); a merging unit adds its scratch partial and
+nothing else of its size.  None of it grows with the key length.
 
 Float32 rounds each score ``s`` to 2**-24 relative, so its error against
 the float64 oracle grows with the logits: |out - oracle| <= 4 * 2**-24 *
@@ -90,8 +96,9 @@ class TileConfig:
 def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
     """Stream each key tile of a stack of G equal groups once past all its query
     blocks, accumulating in place into the empty partial ``out`` (zeros, (G, S_q, D))
-    and ``lse`` (-inf, (G, S_q)), which double as ``acc`` and ``m``.  Every product,
-    reduction and ``exp`` carries the G axis, so the stack lives in one score tile."""
+    and ``lse`` (-inf, (G, S_q)), which double as ``acc`` and ``m``; the first key
+    tile starts that state without rescaling it.  Every product, reduction and
+    ``exp`` carries the G axis, so the stack lives in one score tile."""
     g, s_q, d = q_grp.shape
     s_k = k_grp.shape[1]
     scale = q_grp.dtype.type(1.0 / np.sqrt(d))
@@ -104,17 +111,22 @@ def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
             i1 = min(i0 + tile.q_block, s_q)
             s = q_grp[:, i0:i1] @ k_tile.transpose(0, 2, 1)
             s *= scale
-            m_blk = lse[:, i0:i1]
-            m_new = np.maximum(m_blk, s.max(axis=2))
-            alpha = np.exp(m_blk - m_new)
+            m_blk, l_blk, acc_blk = lse[:, i0:i1], l[:, i0:i1], out[:, i0:i1]
+            if j0:
+                m_new = np.maximum(m_blk, s.max(axis=2))
+                alpha = np.exp(m_blk - m_new)
+                l_blk *= alpha
+                acc_blk *= alpha[..., None]
+            else:  # the empty state: m = -inf, l = 0, acc = 0, so nothing to rescale
+                m_new = s.max(axis=2)
             s -= m_new[..., None]
             np.exp(s, out=s)
-            l_blk = l[:, i0:i1]
-            l_blk *= alpha
             l_blk += s.sum(axis=2)
-            acc_blk = out[:, i0:i1]
-            acc_blk *= alpha[..., None]
-            acc_blk += s @ v_tile
+            if j0:
+                acc_blk += s @ v_tile
+            else:  # PV straight into acc; + 0 turns a -0.0 into +0.0, as 0 + PV does
+                np.matmul(s, v_tile, out=acc_blk)
+                acc_blk += 0
             m_blk[...] = m_new
             del s  # so the next QK^T does not allocate beside this tile
     out /= l[..., None]
@@ -130,7 +142,7 @@ def _check_lse(lse: np.ndarray, name: str) -> None:
 
 
 def _fold(dest: AttnPartial, part: AttnPartial) -> AttnPartial:
-    """Merge ``part`` into ``dest`` in place and return ``dest``."""
+    """Merge ``part`` into ``dest`` in place and return ``dest``; ``part.out`` is overwritten."""
     o1, lse1 = dest
     o2, lse2 = part
     l1 = np.asarray(lse1, dtype=np.float64)
@@ -143,7 +155,8 @@ def _fold(dest: AttnPartial, part: AttnPartial) -> AttnPartial:
         w2 = np.where(both_empty, 0.0, np.exp(l2 - lse))[..., None].astype(o2.dtype)
     lse1[...] = lse
     o1 *= w1
-    o1 += o2 * w2
+    o2 *= w2
+    o1 += o2
     return dest
 
 
@@ -153,14 +166,13 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
     The partials must share shapes and precision.  An lse that is NaN or +inf
     breaks the AttnPartial contract and is rejected.
     """
-    o1, lse1 = p1
-    o2, lse2 = p2
+    (o1, lse1), (o2, lse2) = (map(np.asarray, p) for p in (p1, p2))
     if o1.shape != o2.shape or lse1.shape != lse2.shape or o1.dtype != o2.dtype:
         raise ValueError(f"partials differ: out {o1.shape} {o1.dtype} vs {o2.shape} {o2.dtype}, "
                          f"lse {lse1.shape} vs {lse2.shape}")
     _check_lse(lse1, "p1")
     _check_lse(lse2, "p2")
-    return _fold(AttnPartial(o1.copy(), lse1.copy()), p2)
+    return _fold(AttnPartial(o1.copy(), lse1.copy()), AttnPartial(o2.copy(), lse2))
 
 
 def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
@@ -207,7 +219,8 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     checked once here: finite rows, and an lse finite or -inf.  The call folds
     its keys into it, bit for bit as ``merge_partials(out, fresh)`` would, and
     returns it as a partial; a unit merging into rows that are not empty adds
-    one unit-sized scratch partial.  ``out=None`` is a fresh empty partial.
+    one unit-sized scratch partial, one at a time.  ``out=None`` is a fresh
+    empty partial; anything but a pair of arrays is refused.
     """
     q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
@@ -219,6 +232,8 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     if out is None:
         out = AttnPartial(np.zeros((b, h, s_q, d), q.dtype), np.full((b, h, s_q), -np.inf, q.dtype))
     else:
+        if not (isinstance(out, tuple) and len(out) == 2 and all(isinstance(a, np.ndarray) for a in out)):
+            raise ValueError(f"out must be a pair of arrays (out, lse) to fold into, got {type(out).__name__}")
         out = out if isinstance(out, AttnPartial) else AttnPartial(*out)  # a plain (out, lse) pair
         for arr, shape in zip(out, ((b, h, s_q, d), (b, h, s_q))):
             if arr.shape != shape or arr.dtype != q.dtype:
@@ -237,4 +252,5 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
                              v[bi, hi, cols].reshape(n, sk, d), part.out.reshape(n, sq, d), part.lse.reshape(n, sq), tile)
                 if not empty:
                     _fold(dest, part)
+                del part  # so the next unit's scratch is not allocated beside this one
     return out

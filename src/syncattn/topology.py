@@ -150,9 +150,8 @@ def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
     keys into the output and lse rows, which start as the empty partial;
     the merge is exact as blocks hold disjoint keys.  Rows no block covers
     stay zero.  Peak transient memory is the output and lse, one kernel
-    unit's scratch partial and (rows, D) merge temporary, the kernel's
-    score tile and PV product (each at most ``q_block * k_block``
-    numbers), and O(rows) lse weights.
+    unit's scratch partial, the kernel's score tile and PV product (each
+    at most ``q_block * k_block`` numbers), and O(rows) lse weights.
     """
     out, lse = np.zeros(q.shape, q.dtype), np.full(q.shape[:3], -np.inf, q.dtype)
     k0 = min((blk.cols.start for blk in plan), default=0)

@@ -359,6 +359,83 @@ class TestFlashVarlen:
             flash_varlen_forward(q, k, v, np.array([0, 4, 3, 6]), np.array([0, 2, 4, 6]))
 
 
+def _general_flash_group(q_grp, k_grp, v_grp, out, lse, tile):
+    """The kernel's tile loop with one update for every key tile: the first
+    tile, too, rescales the empty state (m = -inf, l = 0, acc = 0) and adds
+    its PV product to it.  The reference the kernel must match bit for bit."""
+    g, s_q, d = q_grp.shape
+    s_k = k_grp.shape[1]
+    scale = q_grp.dtype.type(1.0 / np.sqrt(d))
+    l = np.zeros((g, s_q), dtype=q_grp.dtype)
+    for j0 in range(0, s_k, tile.k_block):
+        j1 = min(j0 + tile.k_block, s_k)
+        k_tile = k_grp[:, j0:j1]
+        v_tile = v_grp[:, j0:j1]
+        for i0 in range(0, s_q, tile.q_block):
+            i1 = min(i0 + tile.q_block, s_q)
+            s = q_grp[:, i0:i1] @ k_tile.transpose(0, 2, 1)
+            s *= scale
+            m_blk = lse[:, i0:i1]
+            m_new = np.maximum(m_blk, s.max(axis=2))
+            alpha = np.exp(m_blk - m_new)
+            s -= m_new[..., None]
+            np.exp(s, out=s)
+            l_blk = l[:, i0:i1]
+            l_blk *= alpha
+            l_blk += s.sum(axis=2)
+            acc_blk = out[:, i0:i1]
+            acc_blk *= alpha[..., None]
+            acc_blk += s @ v_tile
+            m_blk[...] = m_new
+    out /= l[..., None]
+    lse += np.log(l, out=l)
+
+
+class TestFirstKeyTile:
+    """The kernel starts each unit on its first key tile without rescaling,
+    writing the PV product straight into the accumulator.  It must give the
+    bits of the general update, fresh and folded into a prior partial."""
+
+    # Stacks of four equal groups over two key tiles, a group of one key
+    # tile, one of two query blocks and three key tiles, and a zero-key group.
+    CU_Q = np.cumsum([0, 5, 5, 5, 5, 3, 70, 2])
+    CU_K = np.cumsum([0, 20, 20, 20, 20, 7, 40, 0])
+    TILE = TileConfig(64, 16)
+
+    def _inputs(self, case, dtype):
+        q, k, v = _qkv(81, (2, 2, self.CU_Q[-1], 8), (2, 2, self.CU_K[-1], 8), dtype)
+        if case == "extreme_logits":
+            q = q * dtype(3000)
+            assert 5e3 < _max_score(q, k) < 5e4
+        elif case == "near_subnormal":
+            tiny = np.finfo(dtype).tiny
+            q, k, v = q * np.sqrt(tiny), k * np.sqrt(tiny), v * (4 * tiny)
+        elif case == "negative_zero_column":
+            v[..., 0] = -0.0
+        return q, k, v
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["random", "extreme_logits", "near_subnormal", "negative_zero_column"])
+    def test_matches_the_general_update(self, case, dtype, monkeypatch):
+        q, k, v = self._inputs(case, dtype)
+        units = kernel._stacks(self.CU_Q, self.CU_K, 8, self.TILE)
+        assert [(n, sk) for *_, sk, n in units] == [(4, 20), (1, 7), (1, 40)]
+        # A prior over other keys: groups 0, 1 and 5 hold a partial, the rest are empty.
+        cu_k2 = np.cumsum([0, 3, 3, 0, 0, 2, 9, 1])
+        k2, v2 = (seeded_random_tensor((2, 2, cu_k2[-1], 8), seed, dtype) for seed in (85, 86))
+        prior = flash_varlen_forward(q, k2, v2, self.CU_Q, cu_k2, self.TILE)
+        results = {}
+        for name, group in (("kernel", kernel._flash_group), ("general", _general_flash_group)):
+            monkeypatch.setattr(kernel, "_flash_group", group)
+            fresh = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, self.TILE)
+            merged = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, self.TILE,
+                                          out=AttnPartial(prior.out.copy(), prior.lse.copy()))
+            results[name] = [a.tobytes() for p in (fresh, merged) for a in p]
+            if case == "negative_zero_column":
+                assert not np.signbit(fresh.out[..., 0]).any()
+        assert results["kernel"] == results["general"]
+
+
 class TestVarlenOut:
     """``flash_varlen_forward(..., out=...)`` folds into a given partial."""
 
@@ -427,6 +504,13 @@ class TestVarlenOut:
         got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=pair)
         assert isinstance(got, AttnPartial) and got.out is pair[0] and got.lse is pair[1]
         assert got.out.tobytes() == fresh.out.tobytes() and got.lse.tobytes() == fresh.lse.tobytes()
+
+    def test_nested_list_pair_rejected(self):
+        # A list cannot be written in place, so it is refused by name.
+        q, k, v = self._inputs(np.float64)
+        p = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K)
+        with pytest.raises(ValueError, match="out must be a pair of arrays"):
+            flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=(p.out.tolist(), p.lse.tolist()))
 
     def test_wrong_shape_or_dtype_rejected(self):
         q, k, v = self._inputs(np.float32)

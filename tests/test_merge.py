@@ -98,6 +98,26 @@ class TestMergePartials:
         np.testing.assert_allclose(merged.out, full.out, atol=1e-12)
         np.testing.assert_allclose(merged.lse, full.lse, atol=1e-12)
 
+    @pytest.mark.parametrize("same", [False, True], ids=["two_partials", "one_partial_twice"])
+    def test_inputs_left_alone(self, same):
+        # The fold weights its second operand in place; merge_partials gives
+        # it a copy.
+        q, k, v = _qkv(63, (1, 2, 5, 8), (1, 2, 9, 8), np.float32)
+        p1, p2 = _split_partials(q, k, v, [(0, 4), (4, 9)])
+        if same:
+            p2 = p1
+        before = [a.tobytes() for p in (p1, p2) for a in p]
+        merge_partials(p1, p2)
+        assert [a.tobytes() for p in (p1, p2) for a in p] == before
+
+    def test_nested_list_partials_accepted(self):
+        q, k, v = _qkv(65, (1, 2, 5, 8), (1, 2, 9, 8))
+        p1, p2 = _split_partials(q, k, v, [(0, 4), (4, 9)])
+        expected = merge_partials(p1, p2)
+        for got in (merge_partials((p1.out.tolist(), p1.lse.tolist()), p2),
+                    merge_partials(p1, (p2.out.tolist(), p2.lse.tolist()))):
+            assert got.out.tobytes() == expected.out.tobytes() and got.lse.tobytes() == expected.lse.tobytes()
+
     def test_shape_mismatch_rejected(self):
         p = AttnPartial(np.zeros((1, 1, 2, 4)), np.zeros((1, 1, 2)))
         q = AttnPartial(np.zeros((1, 1, 3, 4)), np.zeros((1, 1, 3)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import syncattn.topology as topology
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import (
+    AttnPartial,
     TokenLayout,
     per_frame_cu_seqlens,
     seeded_random_tensor,
@@ -679,11 +680,36 @@ class TestPeakMemory:
         law = (
             b * h * s * (d + 1) * self.ITEM  # out and lse
             + unit_rows * (d + 1) * self.ITEM  # one unit's scratch partial, for one (batch, head)
-            + unit_rows * d * self.ITEM  # the unit's (rows, D) merge temporary
             + self.KERNEL
             + self.ROW_STATE * b * h * s
         )
         assert out.nbytes == b * h * s * d * self.ITEM
+        assert peak <= law, (peak, law)
+
+    def test_merging_call_holds_one_scratch_partial(self):
+        # The video -> audio block of the layout above, folded into rows that
+        # already hold the dense block's partial: the kernel weights its
+        # scratch in place and writes the first PV product into it, so
+        # nothing else of (rows, D) is alive beside it.
+        layout = TokenLayout(frames=16, video_per_frame=256, audio_per_frame=8, others_len=256)
+        d = 64
+        q, k, v = _qkv(layout, 90, heads=2, head_dim=d)
+        dense, video_audio = block_plan(layout, InjectionConfig.MASKED_3D)[:2]
+        assert dense.rows.start == video_audio.rows.start == 0 and video_audio.rows.stop <= dense.rows.stop
+        prior = flash_varlen_forward(q[:, :, dense.rows], k[:, :, dense.cols], v[:, :, dense.cols],
+                                     dense.cu_q, dense.cu_k)
+        rows, cols = np.s_[:, :, video_audio.rows], np.s_[:, :, video_audio.cols]
+        dest = AttnPartial(prior.out[rows], prior.lse[rows])
+        _, peak = measure_peak_bytes(
+            lambda: flash_varlen_forward(q[rows], k[cols], v[cols], video_audio.cu_q, video_audio.cu_k, out=dest)
+        )
+        n, l = layout.video_per_frame, layout.audio_per_frame
+        unit_rows = TileConfig().q_block * TileConfig().k_block // (n * d) * n
+        law = (
+            unit_rows * (d + 1) * self.ITEM  # the unit's scratch partial
+            + unit_rows * l * self.ITEM  # its score tile: each row scores its frame's L keys
+            + self.ROW_STATE * unit_rows
+        )
         assert peak <= law, (peak, law)
 
     def test_writing_block_holds_no_partial(self):
@@ -710,7 +736,7 @@ class TestPeakMemory:
         law = (
             4 * s * c * self.ITEM  # q, k, v and the output
             + h * s * self.ITEM  # lse
-            + unit_rows * (2 * d + 1) * self.ITEM  # one unit's scratch partial and merge temporary
+            + unit_rows * (d + 1) * self.ITEM  # one unit's scratch partial
             + self.KERNEL
             + self.ROW_STATE * h * s
         )
