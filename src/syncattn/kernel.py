@@ -1,15 +1,15 @@
 """Tiled, streaming scaled-dot-product attention that never materializes QK^T.
 
-A work unit is a stack of G equal groups of one (batch, head): a run of
-adjacent ``cu_seqlens`` groups with one (S_q, S_k), capped so that the
-stack's score tile and its PV product each hold at most
-``q_block * k_block`` numbers.  Any other group, the dense call included,
-is a stack of one.  Units run one after another.  A unit keeps the
-classic online-softmax state of every query row (running row max ``m``,
-running denominator ``l``, rescaled accumulator ``acc``) across the whole
-key loop.  Key/value tiles are the outer loop and are read where they
-lie; query blocks are the inner loop, and each updates its rows in place,
-with every operation carrying the leading G axis:
+One rule sizes every work unit: a unit holds at most R query rows of one
+(batch, head), R * max(min(S_k, k_block), head_dim) <= q_block * k_block
+(R >= 1), so its score tile and PV product each fit ``q_block * k_block``
+numbers.  Adjacent ``cu_seqlens`` groups of one (S_q, S_k) stack while whole
+groups fit; a longer group runs as slices of R rows, each a unit of one
+group over all its keys (over wide keys, R = ``q_block``).  Units run one
+after another.  A unit streams its key/value tiles, read where they lie,
+past all its rows, keeping each row's online-softmax state (running row
+max ``m``, denominator ``l``, rescaled accumulator ``acc``) in place, with
+every operation carrying the leading G axis:
 
     m_new = max(m, rowmax(S_tile))
     alpha = exp(m - m_new)
@@ -23,9 +23,8 @@ rescaling, and writes its PV product straight into ``acc`` before adding
 ``+0``: the same bits as ``0 + P``, a ``-0.0`` product included.  The unit
 finishes with ``out = acc / l`` and ``lse = m + log(l)``.  Every
 query row sees the same operations on the same key tiles in the same
-order as it would with query blocks outermost, or alone in a stack of
-one, so results depend on the tile shape only, not on the loop order or
-the stacking.
+order alone or in a stack; a BLAS may round a row differently in a
+matmul of other height, so its bits follow the unit rule, not only the tiles.
 
 Two partials ``(O_1, lse_1)`` and ``(O_2, lse_2)`` over disjoint keys for
 the same queries merge into the full-key result via
@@ -47,11 +46,10 @@ A unit whose rows hold the empty partial (zeros, lse -inf) accumulates in
 them as ``acc`` and ``m``; any other unit runs in a scratch partial of its
 own size, folds it into its rows and frees it before the next unit
 starts.  All tile arithmetic (matmuls, ``exp``, the softmax state) runs in
-the input precision.  Memory per unit is O(S_q) for ``l``, one score tile
-of at most ``q_block * k_block`` numbers and, on key tiles after the
-first, a PV product no larger (or, in a stack of one,
-``q_block * head_dim``); a merging unit adds its scratch partial and
-nothing else of its size.  None of it grows with the key length.
+the input precision.  By the one rule a unit's score tile, its PV product
+and a merging unit's scratch partial each hold at most ``q_block *
+k_block`` numbers, beside O(R) row state; none of it grows with the key
+length or the number of frames.
 
 Float32 rounds each score ``s`` to 2**-24 relative, so its error against
 the float64 oracle grows with the logits: |out - oracle| <= 4 * 2**-24 *
@@ -61,7 +59,7 @@ float32 lse obeys |lse - oracle| <= 8 * 2**-24 * (max|s| + log S_k)
 (measured up to 3.8 * 2**-24 * (max|s| + log S_k)); the merges weight
 partials by exp(lse1 - lse), so this error reaches a merged output too.
 Float64 inputs keep the oracle's 1e-12 there.  Every reduction order is
-fixed, and stacks depend on ``cu_seqlens`` and the tiles alone, so
+fixed, and units depend on ``cu_seqlens`` and the tiles alone, so
 results are bit-identical from run to run.  The dense call is the
 single-group case of the varlen call.
 """
@@ -76,13 +74,14 @@ from .core import QKV_AXES, AttnPartial, check_count, check_cu_seqlens, check_qk
 
 __all__ = ["TileConfig", "flash_forward", "flash_varlen_forward", "merge_partials"]
 
-# Default 256x512 tiles, from a sweep of the reference layout (2-core x86
-# machine, one OpenBLAS thread, float32 inputs and tile arithmetic): every
-# tile from 128x512 to 1024x1024 ran within noise of each other (958-1077
-# ms median) and about 2.5x faster than 64x64 (2469 ms), all at one peak of
-# 36.1 MB.  An earlier sweep over all three benchmark workloads found
-# 256x512 among the fastest on each; on the flat 2D wirings it raises the
-# peak by about 1.3% over 64x64.
+# Default 256x512 tiles, from a sweep of the reference layout (2-core x86,
+# one OpenBLAS thread, float32): every tile from 128x512 to 1024x1024 ran
+# within noise (958-1077 ms median), about 2.5x faster than 64x64 (2469 ms).
+# The peak follows q_block, the rows of a unit over wide keys: 128x512 cut
+# peak_bytes by 4.4% (long_clip) and 3.2% (ref_layout) but cost 5.8% and
+# 5-16% in forward_ms, so 256x512 stays.  It was among the fastest on all
+# three benchmark workloads; on the flat 2D wirings it raises the peak by
+# about 1.3% over 64x64.
 @dataclass(frozen=True)
 class TileConfig:
     q_block: int = 256
@@ -94,51 +93,53 @@ class TileConfig:
 
 
 def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
-    """Stream each key tile of a stack of G equal groups once past all its query
-    blocks, accumulating in place into the empty partial ``out`` (zeros, (G, S_q, D))
-    and ``lse`` (-inf, (G, S_q)), which double as ``acc`` and ``m``; the first key
-    tile starts that state without rescaling it.  Every product, reduction and
-    ``exp`` carries the G axis, so the stack lives in one score tile."""
+    """Stream the key tiles of one unit (G groups of S_q rows, sized by ``_stacks``)
+    past all its rows at once, accumulating in place into the empty partial
+    ``out`` (zeros, (G, S_q, D)) and ``lse`` (-inf, (G, S_q)), which double as
+    ``acc`` and ``m``; the first key tile starts that state without rescaling it.
+    Every product, reduction and ``exp`` carries the G axis."""
     g, s_q, d = q_grp.shape
-    s_k = k_grp.shape[1]
     scale = q_grp.dtype.type(1.0 / np.sqrt(d))
     l = np.zeros((g, s_q), dtype=q_grp.dtype)
-    for j0 in range(0, s_k, tile.k_block):
-        j1 = min(j0 + tile.k_block, s_k)
-        k_tile = k_grp[:, j0:j1]
-        v_tile = v_grp[:, j0:j1]
-        for i0 in range(0, s_q, tile.q_block):
-            i1 = min(i0 + tile.q_block, s_q)
-            s = q_grp[:, i0:i1] @ k_tile.transpose(0, 2, 1)
-            s *= scale
-            m_blk, l_blk, acc_blk = lse[:, i0:i1], l[:, i0:i1], out[:, i0:i1]
-            if j0:
-                m_new = np.maximum(m_blk, s.max(axis=2))
-                alpha = np.exp(m_blk - m_new)
-                l_blk *= alpha
-                acc_blk *= alpha[..., None]
-            else:  # the empty state: m = -inf, l = 0, acc = 0, so nothing to rescale
-                m_new = s.max(axis=2)
-            s -= m_new[..., None]
-            np.exp(s, out=s)
-            l_blk += s.sum(axis=2)
-            if j0:
-                acc_blk += s @ v_tile
-            else:  # PV straight into acc; + 0 turns a -0.0 into +0.0, as 0 + PV does
-                np.matmul(s, v_tile, out=acc_blk)
-                acc_blk += 0
-            m_blk[...] = m_new
-            del s  # so the next QK^T does not allocate beside this tile
+    for j0 in range(0, k_grp.shape[1], tile.k_block):
+        v_tile = v_grp[:, j0:j0 + tile.k_block]
+        s = q_grp @ k_grp[:, j0:j0 + tile.k_block].transpose(0, 2, 1)
+        s *= scale
+        if j0:
+            m_new = np.maximum(lse, s.max(axis=2))
+            alpha = np.exp(lse - m_new)
+            l *= alpha
+            out *= alpha[..., None]
+        else:  # the empty state: m = -inf, l = 0, acc = 0, so nothing to rescale
+            m_new = s.max(axis=2)
+        s -= m_new[..., None]
+        np.exp(s, out=s)
+        l += s.sum(axis=2)
+        if j0:
+            out += s @ v_tile
+        else:  # PV straight into acc; + 0 turns a -0.0 into +0.0, as 0 + PV does
+            np.matmul(s, v_tile, out=out)
+            out += 0
+        lse[...] = m_new
+        del s  # so the next QK^T does not allocate beside this tile
     out /= l[..., None]
     lse += np.log(l, out=l)
 
 
-def _check_lse(lse: np.ndarray, name: str) -> None:
-    """Refuse an lse holding NaN or +inf: each row's is finite, or -inf if it saw no keys."""
+def _check_partial(p, name: str) -> AttnPartial:
+    """``p`` as a partial of arrays: ``out`` passes check_tensor along QKV_AXES, and
+    ``lse``, of shape ``out.shape[:3]`` in out's precision, is finite, or -inf
+    for a row that saw no keys."""
+    out, lse = p
+    out, lse = check_tensor(out, name, QKV_AXES), np.asarray(lse)
+    if lse.shape != out.shape[:3] or lse.dtype != out.dtype:
+        raise ValueError(f"{name} arrays must be out (B, H, S_q, D) and lse (B, H, S_q) in one precision, "
+                         f"got {out.shape} {out.dtype} and {lse.shape} {lse.dtype}")
     # NaN and +inf both reach the max, so one reduction finds them.
     if lse.size and not lse.max() < np.inf:
         where = tuple(int(i) for i in np.argwhere(~(lse < np.inf))[0])
         raise ValueError(f"{name} has lse {lse[where]} at {where}; an lse must be finite or -inf")
+    return AttnPartial(out, lse)
 
 
 def _fold(dest: AttnPartial, part: AttnPartial) -> AttnPartial:
@@ -163,15 +164,12 @@ def _fold(dest: AttnPartial, part: AttnPartial) -> AttnPartial:
 def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
     """Merge two partials over disjoint key sets for the same queries into a fresh one.
 
-    The partials must share shapes and precision.  An lse that is NaN or +inf
-    breaks the AttnPartial contract and is rejected.
+    Each is checked as ``flash_varlen_forward``'s ``out`` is; the two must
+    share shape and precision.
     """
-    (o1, lse1), (o2, lse2) = (map(np.asarray, p) for p in (p1, p2))
-    if o1.shape != o2.shape or lse1.shape != lse2.shape or o1.dtype != o2.dtype:
-        raise ValueError(f"partials differ: out {o1.shape} {o1.dtype} vs {o2.shape} {o2.dtype}, "
-                         f"lse {lse1.shape} vs {lse2.shape}")
-    _check_lse(lse1, "p1")
-    _check_lse(lse2, "p2")
+    (o1, lse1), (o2, lse2) = _check_partial(p1, "p1"), _check_partial(p2, "p2")
+    if o1.shape != o2.shape or o1.dtype != o2.dtype:
+        raise ValueError(f"partials differ: out {o1.shape} {o1.dtype} vs {o2.shape} {o2.dtype}")
     return _fold(AttnPartial(o1.copy(), lse1.copy()), AttnPartial(o2.copy(), lse2))
 
 
@@ -189,19 +187,21 @@ def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
 
 
 def _stacks(cu_q, cu_k, d: int, tile: TileConfig) -> list[tuple[int, int, int, int, int]]:
-    """Units of a varlen call as (q0, k0, S_q, S_k, G): runs of adjacent groups of
-    one (S_q, S_k) with queries and keys, cut into stacks whose score tile and PV
-    product each hold at most q_block * k_block numbers; (0, 0) groups split no run."""
+    """Units of a varlen call as (q0, k0, S_q, S_k, G) under the module's one rule:
+    adjacent groups of one (S_q, S_k) stack while whole groups fit in R rows, and a
+    longer group runs as slices of R rows; (0, 0) groups split no run."""
     g = np.flatnonzero(np.diff(cu_q) + np.diff(cu_k))
     q0, k0, sq, sk = cu_q[g], cu_k[g], cu_q[g + 1] - cu_q[g], cu_k[g + 1] - cu_k[g]
     first = np.flatnonzero(np.diff(sq, prepend=-1) | np.diff(sk, prepend=-1)).tolist()
-    stacks = []
+    units = []
     for a, z in zip(first, first[1:] + [g.size]):
         s_q, s_k = int(sq[a]), int(sk[a])
         if s_q and s_k:
-            cap = max(1, tile.q_block * tile.k_block // (min(s_q, tile.q_block) * max(min(s_k, tile.k_block), d)))
-            stacks += [(int(q0[i]), int(k0[i]), s_q, s_k, min(cap, z - i)) for i in range(a, z, cap)]
-    return stacks
+            r = max(1, tile.q_block * tile.k_block // max(min(s_k, tile.k_block), d))
+            n, rows = max(1, r // s_q), min(r, s_q)  # groups per unit, rows per slice of a group
+            units += [(int(q0[i]) + i0, int(k0[i]), min(rows, s_q - i0), s_k, min(n, z - i))
+                      for i in range(a, z, n) for i0 in range(0, s_q, rows)]
+    return units
 
 
 def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), out=None) -> AttnPartial:
@@ -235,15 +235,13 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
         if not (isinstance(out, tuple) and len(out) == 2 and all(isinstance(a, np.ndarray) for a in out)):
             raise ValueError(f"out must be a pair of arrays (out, lse) to fold into, got {type(out).__name__}")
         out = out if isinstance(out, AttnPartial) else AttnPartial(*out)  # a plain (out, lse) pair
-        for arr, shape in zip(out, ((b, h, s_q, d), (b, h, s_q))):
-            if arr.shape != shape or arr.dtype != q.dtype:
-                raise ValueError(f"out arrays must be {shape} {q.dtype}, got {arr.shape} {arr.dtype}")
-        check_tensor(out.out, "out", QKV_AXES)
-        _check_lse(out.lse, "out")
-    stacks = _stacks(cu_q, cu_k, d, tile)
+        _check_partial(out, "out")
+        if out.out.shape != (b, h, s_q, d) or out.out.dtype != q.dtype:
+            raise ValueError(f"out arrays must be {(b, h, s_q, d)} {q.dtype}, got {out.out.shape} {out.out.dtype}")
+    units = _stacks(cu_q, cu_k, d, tile)
     for bi in range(b):
         for hi in range(h):
-            for q0, k0, sq, sk, n in stacks:
+            for q0, k0, sq, sk, n in units:
                 rows, cols = slice(q0, q0 + n * sq), slice(k0, k0 + n * sk)
                 dest = AttnPartial(out.out[bi, hi, rows], out.lse[bi, hi, rows])  # (rows, D): one fold
                 empty = np.isneginf(dest.lse).all()

@@ -259,10 +259,11 @@ class TestFlashVarlen:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stacks_equal_per_group_calls(self, dtype, monkeypatch):
-        # At 4x3 tiles and head_dim 3 a stack holds at most 12 scores and
-        # 12 PV numbers: nine 2x3 groups stack in twos, the 5x7 group
-        # between two runs stands alone, and 1x2 groups stack up to four,
-        # cut by a zero-key and a zero-query group but not by an empty one.
+        # At 4x3 tiles and head_dim 3 a unit holds at most 12 scores and
+        # 12 PV numbers, so 4 rows: nine 2x3 groups stack in twos, the 5x7
+        # group between two runs runs as slices of 4 and 1 rows, and 1x2
+        # groups stack up to four, cut by a zero-key and a zero-query group
+        # but not by an empty one.
         sizes = [(2, 3)] * 9 + [(5, 7)] + [(1, 2)] * 3 + [(2, 0)] + [(1, 2)] * 2 + [(0, 0)]
         sizes += [(1, 2)] + [(0, 2)] + [(1, 2)] * 2
         cu_q, cu_k = (np.cumsum([0] + [sz[i] for sz in sizes]) for i in (0, 1))
@@ -273,7 +274,7 @@ class TestFlashVarlen:
         monkeypatch.setattr(kernel, "_flash_group", lambda q_grp, *rest: stacks.append(len(q_grp)) or run_stack(q_grp, *rest))
         got = flash_varlen_forward(q, k, v, cu_q, cu_k, tile)
         monkeypatch.undo()
-        assert stacks == [2, 2, 2, 2, 1, 1, 3, 3, 2] * 4  # per (batch, head)
+        assert stacks == [2, 2, 2, 2, 1, 1, 1, 3, 3, 2] * 4  # per (batch, head)
 
         parts = [
             flash_forward(q[:, :, q0:q1], k[:, :, k0:k1], v[:, :, k0:k1], tile)
@@ -305,41 +306,51 @@ class TestFlashVarlen:
         assert many <= 1.1 * one, (one, many)
 
     def test_stacking_rule_matches_the_group_loop(self):
-        # The reference: one pass over the groups, growing the last stack
-        # while the next non-empty group continues it and fits the budget.
+        # The reference: one pass over the groups.  A group whose rows fit the
+        # budget grows the last unit while it continues it and the grown
+        # unit's rows still fit; a longer group runs as slices of the most
+        # rows that fit, at least one, each over all its keys.
         def loop(cu_q, cu_k, d, tile):
-            stacks = []
+            budget = tile.q_block * tile.k_block
+            units, run = [], None  # run: the (S_q, S_k) the last unit may take more of
             for q0, q1, k0, k1 in zip(cu_q[:-1].tolist(), cu_q[1:].tolist(), cu_k[:-1].tolist(), cu_k[1:].tolist()):
                 sq, sk = q1 - q0, k1 - k0
                 if sq == 0 or sk == 0:
+                    run = run if sq == sk else None  # a (0, 0) group splits no run
                     continue
-                if stacks:
-                    p_q0, p_k0, p_sq, p_sk, n = stacks[-1]
-                    if ((p_sq, p_sk, p_q0 + n * sq, p_k0 + n * sk) == (sq, sk, q0, k0) and (n + 1)
-                            * min(sq, tile.q_block) * max(min(sk, tile.k_block), d) <= tile.q_block * tile.k_block):
-                        stacks[-1] = (p_q0, p_k0, sq, sk, n + 1)
-                        continue
-                stacks.append((q0, k0, sq, sk, 1))
-            return stacks
+                width = max(min(sk, tile.k_block), d)  # numbers per row in the score tile or the PV product
+                if sq * width > budget:
+                    rows = 1
+                    while (rows + 1) * width <= budget:
+                        rows += 1
+                    units += [(q0 + i, k0, min(rows, sq - i), sk, 1) for i in range(0, sq, rows)]
+                    run = None
+                elif run == (sq, sk) and (units[-1][4] + 1) * sq * width <= budget:
+                    units[-1] = (*units[-1][:4], units[-1][4] + 1)
+                else:
+                    units.append((q0, k0, sq, sk, 1))
+                    run = (sq, sk)
+            return units
 
         rng = np.random.default_rng(5)
         for _ in range(500):
             groups = int(rng.integers(0, 40))
-            sizes = rng.integers(0, 6, size=(3, 2))[rng.integers(0, 3, size=groups)]  # three (S_q, S_k): runs
+            sizes = rng.integers(0, 12, size=(3, 2))[rng.integers(0, 3, size=groups)]  # three (S_q, S_k): runs
             cu_q, cu_k = (np.concatenate([[0], np.cumsum(sizes[:, i])]) for i in (0, 1))
             tile, d = TileConfig(*map(int, rng.integers(1, 9, size=2))), int(rng.integers(1, 5))
             assert kernel._stacks(cu_q, cu_k, d, tile) == loop(cu_q, cu_k, d, tile)
 
-    def test_long_clip_runs_four_units_per_head(self, monkeypatch):
-        # The benchmark's long_clip layout: the dense block, then each
-        # per-frame block's 256 equal groups as one stack.
+    def test_long_clip_runs_eight_units_per_head(self, monkeypatch):
+        # The benchmark's long_clip layout: the dense 1040-row block as slices
+        # of 256, 256, 256, 256 and 16 rows, then each per-frame block's 256
+        # equal groups as one stack.
         layout = TokenLayout(frames=256, video_per_frame=4, audio_per_frame=8, others_len=16)
         heads = 2
         q, k, v = _qkv(83, (1, heads, layout.total_len, 64), (1, heads, layout.total_len, 64))
         stacks, run_stack = [], kernel._flash_group
         monkeypatch.setattr(kernel, "_flash_group", lambda q_grp, *rest: stacks.append(len(q_grp)) or run_stack(q_grp, *rest))
         masked3d_forward(q, k, v, layout)
-        assert stacks == [1] * heads + [256] * 3 * heads
+        assert stacks == [1] * 5 * heads + [256] * 3 * heads
 
     def test_non_integer_boundaries_rejected(self):
         q, k, v = _qkv(43, (1, 1, 3, 8), (1, 1, 3, 8))
@@ -364,29 +375,20 @@ def _general_flash_group(q_grp, k_grp, v_grp, out, lse, tile):
     tile, too, rescales the empty state (m = -inf, l = 0, acc = 0) and adds
     its PV product to it.  The reference the kernel must match bit for bit."""
     g, s_q, d = q_grp.shape
-    s_k = k_grp.shape[1]
     scale = q_grp.dtype.type(1.0 / np.sqrt(d))
     l = np.zeros((g, s_q), dtype=q_grp.dtype)
-    for j0 in range(0, s_k, tile.k_block):
-        j1 = min(j0 + tile.k_block, s_k)
-        k_tile = k_grp[:, j0:j1]
-        v_tile = v_grp[:, j0:j1]
-        for i0 in range(0, s_q, tile.q_block):
-            i1 = min(i0 + tile.q_block, s_q)
-            s = q_grp[:, i0:i1] @ k_tile.transpose(0, 2, 1)
-            s *= scale
-            m_blk = lse[:, i0:i1]
-            m_new = np.maximum(m_blk, s.max(axis=2))
-            alpha = np.exp(m_blk - m_new)
-            s -= m_new[..., None]
-            np.exp(s, out=s)
-            l_blk = l[:, i0:i1]
-            l_blk *= alpha
-            l_blk += s.sum(axis=2)
-            acc_blk = out[:, i0:i1]
-            acc_blk *= alpha[..., None]
-            acc_blk += s @ v_tile
-            m_blk[...] = m_new
+    for j0 in range(0, k_grp.shape[1], tile.k_block):
+        s = q_grp @ k_grp[:, j0:j0 + tile.k_block].transpose(0, 2, 1)
+        s *= scale
+        m_new = np.maximum(lse, s.max(axis=2))
+        alpha = np.exp(lse - m_new)
+        s -= m_new[..., None]
+        np.exp(s, out=s)
+        l *= alpha
+        l += s.sum(axis=2)
+        out *= alpha[..., None]
+        out += s @ v_grp[:, j0:j0 + tile.k_block]
+        lse[...] = m_new
     out /= l[..., None]
     lse += np.log(l, out=l)
 
@@ -397,7 +399,8 @@ class TestFirstKeyTile:
     bits of the general update, fresh and folded into a prior partial."""
 
     # Stacks of four equal groups over two key tiles, a group of one key
-    # tile, one of two query blocks and three key tiles, and a zero-key group.
+    # tile, a 70-row group over three key tiles that runs as slices of 64
+    # and 6 rows, and a zero-key group.
     CU_Q = np.cumsum([0, 5, 5, 5, 5, 3, 70, 2])
     CU_K = np.cumsum([0, 20, 20, 20, 20, 7, 40, 0])
     TILE = TileConfig(64, 16)
@@ -419,7 +422,7 @@ class TestFirstKeyTile:
     def test_matches_the_general_update(self, case, dtype, monkeypatch):
         q, k, v = self._inputs(case, dtype)
         units = kernel._stacks(self.CU_Q, self.CU_K, 8, self.TILE)
-        assert [(n, sk) for *_, sk, n in units] == [(4, 20), (1, 7), (1, 40)]
+        assert [(n, sk) for *_, sk, n in units] == [(4, 20), (1, 7), (1, 40), (1, 40)]
         # A prior over other keys: groups 0, 1 and 5 hold a partial, the rest are empty.
         cu_k2 = np.cumsum([0, 3, 3, 0, 0, 2, 9, 1])
         k2, v2 = (seeded_random_tensor((2, 2, cu_k2[-1], 8), seed, dtype) for seed in (85, 86))

@@ -137,6 +137,37 @@ class TestMergePartials:
         with pytest.raises(ValueError, match=r"p2 has lse .* at \(0, 1, 2\)"):
             merge_partials(good, broken)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["p1", "p2"])
+    def test_non_finite_out_rejected(self, side, bad):
+        # A non-finite output row would be weighted into the merged row.
+        parts = {name: AttnPartial(np.ones((1, 2, 3, 4)), np.zeros((1, 2, 3))) for name in ("p1", "p2")}
+        parts[side].out[0, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match=rf"{side} has a non-finite value .* \(batch, head, row, col\) \(0, 1, 2, 3\)"):
+            merge_partials(parts["p1"], parts["p2"])
+
+    def test_half_precision_rejected(self):
+        # Otherwise float16 partials would merge and come back float16.
+        p = AttnPartial(np.ones((1, 1, 2, 4), np.float16), np.zeros((1, 1, 2), np.float16))
+        with pytest.raises(ValueError, match="p1 must be float32 or float64, got float16"):
+            merge_partials(p, p)
+
+    def test_two_axis_partials_rejected(self):
+        p = AttnPartial(np.ones((2, 4)), np.zeros(2))
+        with pytest.raises(ValueError, match=r"p1 must have 4 axes \(batch, head, row, col\), got 2"):
+            merge_partials(p, p)
+
+    @pytest.mark.parametrize("lse", [np.zeros((1, 1, 1)), np.zeros((1, 1, 2), np.float32)], ids=["shape", "dtype"])
+    @pytest.mark.parametrize("side", ["p1", "p2"])
+    def test_lse_not_matching_its_out_rejected(self, side, lse):
+        # A (1, 1, 1) lse would broadcast against (1, 1, 2) rows and give a
+        # wrong-shaped result; a float32 lse beside float64 rows would mix precisions.
+        good = AttnPartial(np.ones((1, 1, 2, 4)), np.zeros((1, 1, 2)))
+        parts = {"p1": good, "p2": good, side: AttnPartial(np.ones((1, 1, 2, 4)), lse)}
+        with pytest.raises(ValueError, match=rf"{side} arrays must be out \(B, H, S_q, D\) and lse \(B, H, S_q\)"):
+            merge_partials(parts["p1"], parts["p2"])
+
     @pytest.mark.parametrize("first,second", [(np.float32, np.float64), (np.float64, np.float32)])
     def test_mixed_precision_rejected(self, first, second):
         # Otherwise the result's precision would follow the argument order.

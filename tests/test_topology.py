@@ -668,13 +668,17 @@ class TestPeakMemory:
     KERNEL = 2 * TileConfig().q_block * TileConfig().k_block * ITEM
     ROW_STATE = 64
 
-    def test_masked3d_holds_output_one_partial_and_one_block(self):
-        layout = TokenLayout(frames=16, video_per_frame=256, audio_per_frame=8, others_len=256)
-        b, h, d, s = 1, 2, 64, layout.total_len
+    @pytest.mark.parametrize("layout,h", [
+        (TokenLayout(frames=16, video_per_frame=256, audio_per_frame=8, others_len=256), 2),
+        (TokenLayout(frames=8, video_per_frame=1024, audio_per_frame=8), 1),
+    ], ids=["reference", "large_frames"])
+    def test_masked3d_holds_output_one_partial_and_one_block(self, layout, h):
+        b, d, s = 1, 64, layout.total_len
         q, k, v = _qkv(layout, 90, heads=h, head_dim=d)
         out, peak = measure_peak_bytes(lambda: masked3d_forward(q, k, v, layout))
         # The largest merging unit is a stack of video -> audio frames,
-        # capped so that its PV product fits one default tile.
+        # capped so that its PV product fits one default tile, however
+        # many frames the block has.
         n = layout.video_per_frame
         unit_rows = TileConfig().q_block * TileConfig().k_block // (n * d) * n
         law = (
