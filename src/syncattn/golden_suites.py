@@ -131,6 +131,18 @@ def _wirings_cases(configs, layout=TokenLayout(frames=3, video_per_frame=5, audi
     return lambda dtype: [(config.value, wiring(config, dtype)) for config in configs]
 
 
+def _units_cases(dtype):
+    """The self-attention layer at F=2 N=256 L=8 and ``masked3d_forward`` at F=2 N=8 L=300, default tiles."""
+
+    def audio_groups():
+        layout = TokenLayout(frames=2, video_per_frame=8, audio_per_frame=300)
+        q, k, v = (seeded_random_tensor((1, 1, layout.total_len, 16), seed, dtype) for seed in (81, 82, 83))
+        return {"out": masked3d_forward(q, k, v, layout)}
+
+    layer = _wirings_cases((InjectionConfig.SELF_ATTN_2D,), TokenLayout(frames=2, video_per_frame=256, audio_per_frame=8))
+    return [*layer(dtype), ("masked3d", audio_groups)]
+
+
 def _both(cases):
     """A suite's cases in float64, then float32, named ``<case>_f64`` / ``<case>_f32``."""
     return lambda: [(f"{name}_{precision_name(dt)}", build) for dt in (np.float64, np.float32)
@@ -151,6 +163,13 @@ SUITES = {
     "wirings_3d": _both(_wirings_cases((InjectionConfig.FULL_3D, InjectionConfig.MASKED_3D))),
     # The 2D wirings' layer in parts of 4 and 5 frames.
     "wirings_parts": _both(_wirings_cases(_WIRINGS_2D, TokenLayout(frames=9, video_per_frame=60, audio_per_frame=4))),
+    # Kernel units taller than q_block over keys narrower than k_block, whose
+    # matmul row counts only the unit rule sets.  By _flash_group's shapes
+    # (a CLI test holds them): the layer runs each frame as one 264-row unit
+    # over 264 keys; masked3d_forward runs audio -> video as 300-row groups
+    # over 8 keys (both frames in one unit) and audio -> audio as one
+    # 300 x 300 unit per frame.
+    "units": _both(_units_cases),
 }
 
 

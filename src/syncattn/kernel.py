@@ -164,8 +164,8 @@ def _fold(dest: AttnPartial, part: AttnPartial) -> AttnPartial:
 def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
     """Merge two partials over disjoint key sets for the same queries into a fresh one.
 
-    Each is checked as ``flash_varlen_forward``'s ``out`` is; the two must
-    share shape and precision.
+    Each, any (out, lse) pair of array-likes, gets the check of
+    ``flash_varlen_forward``'s ``out``; the two must share shape and precision.
     """
     (o1, lse1), (o2, lse2) = _check_partial(p1, "p1"), _check_partial(p2, "p2")
     if o1.shape != o2.shape or o1.dtype != o2.dtype:
@@ -214,13 +214,13 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     adjacent equal groups run as one stack.  Queries of a zero-key group
     get zero output and lse = -inf.
 
-    ``out``, if given, is a partial or a plain pair: arrays of shape (B, H, S_q, D)
-    and (B, H, S_q) in q's dtype, possibly strided views of larger arrays,
-    checked once here: finite rows, and an lse finite or -inf.  The call folds
-    its keys into it, bit for bit as ``merge_partials(out, fresh)`` would, and
-    returns it as a partial; a unit merging into rows that are not empty adds
-    one unit-sized scratch partial, one at a time.  ``out=None`` is a fresh
-    empty partial; anything but a pair of arrays is refused.
+    ``out``, if given, is an AttnPartial of arrays of shape (B, H, S_q, D) and
+    (B, H, S_q) in q's dtype, possibly strided views of larger arrays, checked
+    once here: finite rows, and an lse finite or -inf.  The call folds its keys
+    into it, bit for bit as ``merge_partials(out, fresh)`` would, and returns
+    it as is; a unit merging into rows that are not empty adds one unit-sized
+    scratch partial, one at a time.  ``out=None`` is a fresh empty partial;
+    anything else, a plain pair included, is refused.
     """
     q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
@@ -231,13 +231,10 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     b, h, s_q, d = q.shape
     if out is None:
         out = AttnPartial(np.zeros((b, h, s_q, d), q.dtype), np.full((b, h, s_q), -np.inf, q.dtype))
-    else:
-        if not (isinstance(out, tuple) and len(out) == 2 and all(isinstance(a, np.ndarray) for a in out)):
-            raise ValueError(f"out must be a pair of arrays (out, lse) to fold into, got {type(out).__name__}")
-        out = out if isinstance(out, AttnPartial) else AttnPartial(*out)  # a plain (out, lse) pair
-        _check_partial(out, "out")
-        if out.out.shape != (b, h, s_q, d) or out.out.dtype != q.dtype:
-            raise ValueError(f"out arrays must be {(b, h, s_q, d)} {q.dtype}, got {out.out.shape} {out.out.dtype}")
+    elif not (isinstance(out, AttnPartial) and all(isinstance(a, np.ndarray) for a in out)):
+        raise ValueError(f"out must be an AttnPartial of arrays to fold into, got {type(out).__name__}")
+    elif _check_partial(out, "out").out.shape != (b, h, s_q, d) or out.out.dtype != q.dtype:
+        raise ValueError(f"out arrays must be {(b, h, s_q, d)} {q.dtype}, got {out.out.shape} {out.out.dtype}")
     units = _stacks(cu_q, cu_k, d, tile)
     for bi in range(b):
         for hi in range(h):

@@ -21,9 +21,11 @@ this rule once, as blocks of query rows and per-group key columns.
 ``build_mask`` materializes it; the forward paths never do: ``_run_plan``
 runs the streaming kernel once per block, and each call folds its partial
 result into the output exactly through the LogSumExp statistics.  Its
-callers are ``masked3d_forward`` and the layer of any wiring, which runs
-the 2D wirings over parts of whole frames, about one query tile of rows
-each, so that only one part's projections are alive at a time.
+callers are ``masked3d_forward`` and the layer of any wiring, which reads
+its part rule from the plan: a plan whose every block has one group per
+frame lets no row see another frame, so the layer runs it over parts of
+whole frames, about one query tile of rows each, and only one part's
+projections are alive at a time.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
 class ProjectionSet:
     """Query/key/value/output projection matrices for one attention layer.
 
-    Each matrix is (model_dim, model_dim), float32 or float64 and finite,
-    checked once here rather than on every layer call; ``heads`` splits
-    model_dim into per-head slices of width model_dim // heads.
+    Each matrix is (model_dim, model_dim), finite, and in the one precision,
+    float32 or float64, of all four: checked once here, not on every layer
+    call.  ``heads`` splits model_dim into per-head slices of model_dim // heads.
     """
 
     wq: np.ndarray
@@ -182,8 +184,8 @@ class ProjectionSet:
         mats = [check_tensor(getattr(self, name), name, ("row", "col")) for name in names]
         c = mats[0].shape[0]
         for name, w in zip(names, mats):
-            if w.shape != (c, c):
-                raise ValueError(f"{name} must be square ({c}, {c}), got {w.shape}")
+            if w.shape != (c, c) or w.dtype != mats[0].dtype:
+                raise ValueError(f"{name} must be ({c}, {c}) in wq's precision {mats[0].dtype}, got {w.shape} {w.dtype}")
             object.__setattr__(self, name, w)  # the checked array, also when built from nested lists
         object.__setattr__(self, "heads", check_count(self.heads, "heads", 1))
         if c % self.heads != 0:
@@ -230,14 +232,15 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     the output and write the part's rows.  The self-attention wirings pack
     each frame's [video_f, audio_f] instead and run the plan of
     ``TokenLayout(frames, N + L)``: one block group, so one softmax, per
-    frame and no merge.  The 2D wirings never let a row see another frame,
-    so their parts hold about one query tile of rows each
-    (``q_block // (N + L)`` frames, at least one; the last part takes the
-    remainder) and only one part's projections are alive at a time; the 3D
-    wirings run all F frames as one part.  CROSS_ATTN_2D and the
-    frozen-audio wiring return the input audio.  A NaN or inf in either
-    stream is rejected, named by stream and (batch, row, channel), and so
-    are streams and projections of more than one precision.
+    frame and no merge.  The plan of all F frames sets the parts: if each
+    of its blocks has one group per frame (the 2D wirings, MASKED_3D with
+    N = 0), no row sees another frame, so a part holds ``q_block // (N + L)``
+    frames, at least one, and the last takes the remainder: about one query
+    tile of rows, whose projections alone are alive at a time.  Otherwise
+    all F frames are one part.  CROSS_ATTN_2D and the frozen-audio wiring
+    return the input audio.  A NaN or inf in either stream is rejected,
+    named by stream and (batch, row, channel), as is a stream whose
+    precision is not the projections'.
 
     Returns the updated (x_video, c_audio), of the input shapes and each in
     its own memory: the attention wiring alone, with no residual, norm or MLP.
@@ -249,15 +252,14 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         raise ValueError(f"x_video must be (B, {f * n}, {c}), got {x_video.shape}")
     if c_audio.shape[1:] != (f * l, c) or c_audio.shape[0] != x_video.shape[0]:
         raise ValueError(f"c_audio must be ({x_video.shape[0]}, {f * l}, {c}), got {c_audio.shape}")
-    named = {"x_video": x_video, "c_audio": c_audio, **{w: getattr(weights, w) for w in ("wq", "wk", "wv", "wo")}}
-    if len({a.dtype for a in named.values()}) > 1:
-        got = " ".join(f"{name}={a.dtype}" for name, a in named.items())
-        raise ValueError(f"streams and projections must share one precision, got {got}")
+    if not x_video.dtype == c_audio.dtype == weights.wq.dtype:
+        raise ValueError(f"x_video {x_video.dtype} and c_audio {c_audio.dtype} must be the projections' {weights.wq.dtype}")
     b, h, tile = x_video.shape[0], weights.heads, TileConfig()
     fold = config in (InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
     keep_audio = config not in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO)
-    flat = fold or config is InjectionConfig.CROSS_ATTN_2D  # no row sees another frame's column
-    fs = min(f, max(1, tile.q_block // max(n + l, 1))) if flat else f  # frames per part; the last takes the rest
+    per_frame = (n + l, 0) if fold else (n, l)  # the plan's video and audio tokens per frame
+    local = all(blk.cu_q.size == f + 1 for blk in block_plan(TokenLayout(f, *per_frame), config))  # one group per frame
+    fs = min(f, max(1, tile.q_block // max(n + l, 1))) if local else f  # frames per part; the last takes the rest
     video = audio = None
     for f0, f1 in itertools.pairwise([*range(0, f - fs + 1, fs), f]):
         fp = f1 - f0
@@ -265,7 +267,7 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         stream = np.concatenate([x_video[:, f0 * n:f1 * n].reshape(b, g, nv, c),
                                  c_audio[:, f0 * l:f1 * l].reshape(b, g, na, c)], axis=2)
         stream = stream.reshape(b, g * (nv + na), c)
-        plan = block_plan(TokenLayout(fp, n + l, 0) if fold else TokenLayout(fp, n, l), config)
+        plan = block_plan(TokenLayout(fp, *per_frame), config)
         rows = max([fp * n, *(blk.rows.stop for blk in plan)])
         k0 = min([stream.shape[1], *(blk.cols.start for blk in plan)])
         q = _split_heads(stream[:, :rows] @ weights.wq, h)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from syncattn import kernel
 from syncattn.cli import _row_segment, build_parser, main
 from syncattn.core import TokenLayout, seeded_random_tensor
 from syncattn.golden_suites import SUITES
@@ -141,6 +142,22 @@ class TestGolden:
             assert gen.returncode == 0, gen.stderr
             chk = run_cli("golden", "check", "--path", str(tmp_path), "--suite", suite)
             assert chk.returncode == 0, chk.stdout + chk.stderr
+
+    def test_units_suite_runs_units_taller_than_a_query_tile(self, monkeypatch):
+        # The suite pins bits that only the unit rule sets: units of more than
+        # q_block rows over keys narrower than k_block.
+        units, flash_group = set(), kernel._flash_group
+
+        def recording(q_grp, k_grp, *args):
+            units.add((q_grp.shape[1], k_grp.shape[1]))
+            return flash_group(q_grp, k_grp, *args)
+
+        monkeypatch.setattr(kernel, "_flash_group", recording)
+        for _, build in SUITES["units"]():
+            build()
+        tall = {(264, 264), (300, 8), (300, 300)}  # (rows, keys): the layer, audio -> video, audio -> audio
+        assert tall <= units
+        assert all(rows > TileConfig().q_block and keys < TileConfig().k_block for rows, keys in tall)
 
     def test_corrupted_file_detected_and_named(self, tmp_path):
         run_cli("golden", "generate", "--path", str(tmp_path), "--suite", "flow")

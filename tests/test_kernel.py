@@ -500,20 +500,22 @@ class TestVarlenOut:
         assert got.lse[:, :, zero_key_rows].tobytes() == prior.lse[:, :, zero_key_rows].tobytes()
         assert np.isnan(big_out[:, :, 1::2]).all() and np.isnan(big_lse[:, :, 1::2]).all()
 
-    def test_folding_into_a_plain_pair(self):
+    def test_plain_pair_refused(self):
+        # The call returns the partial it folds into as is, so a plain pair,
+        # which it would have to wrap, is refused and left untouched.
         q, k, v = self._inputs(np.float64)
         fresh = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K)
         pair = (np.zeros_like(fresh.out), np.full_like(fresh.lse, -np.inf))
-        got = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=pair)
-        assert isinstance(got, AttnPartial) and got.out is pair[0] and got.lse is pair[1]
-        assert got.out.tobytes() == fresh.out.tobytes() and got.lse.tobytes() == fresh.lse.tobytes()
+        with pytest.raises(ValueError, match="out must be an AttnPartial of arrays to fold into, got tuple"):
+            flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=pair)
+        assert not pair[0].any() and np.isneginf(pair[1]).all()
 
     def test_nested_list_pair_rejected(self):
         # A list cannot be written in place, so it is refused by name.
         q, k, v = self._inputs(np.float64)
         p = flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K)
-        with pytest.raises(ValueError, match="out must be a pair of arrays"):
-            flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=(p.out.tolist(), p.lse.tolist()))
+        with pytest.raises(ValueError, match="out must be an AttnPartial of arrays"):
+            flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=AttnPartial(p.out.tolist(), p.lse.tolist()))
 
     def test_wrong_shape_or_dtype_rejected(self):
         q, k, v = self._inputs(np.float32)
@@ -534,7 +536,7 @@ class TestVarlenOut:
         rows = np.zeros((1, 1, 6, 4), np.float32)
         rows[0, 0, 3] = np.nan
         with pytest.raises(ValueError, match=r"out has a non-finite value nan at \(batch, head, row, col\) \(0, 0, 3, 0\)"):
-            flash_varlen_forward(q, k, v, [0, 6], [0, 6], out=(rows, np.full((1, 1, 6), -np.inf, np.float32)))
+            flash_varlen_forward(q, k, v, [0, 6], [0, 6], out=AttnPartial(rows, np.full((1, 1, 6), -np.inf, np.float32)))
 
     def test_infinite_rows_with_finite_lse_rejected(self):
         q, k, v = self._inputs(np.float32)

@@ -518,6 +518,39 @@ class TestConfigLayerForward:
         assert query_rows == [fp * (n if config is CROSS else n + l) for fp in part_frames]
         self._check_oracle(out, xv, ca, layout, config, weights, tol)
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_masked3d_without_video_runs_in_parts(self, dtype, tol, monkeypatch):
+        # Without video the masked 3D plan is per-frame audio -> audio alone,
+        # one group per frame, so the layer runs it in parts of q_block // L
+        # frames, the last taking the rest: 4 and 5 frames.
+        layout = TokenLayout(9, 0, 60)
+        part_rows, run_plan = [], topology._run_plan
+        monkeypatch.setattr(topology, "_run_plan", lambda q, *args: part_rows.append(q.shape[2]) or run_plan(q, *args))
+        weights = seeded_projection_set(16, 2, 21, dtype)
+        xv, ca = self._streams(layout, 16, 1400, dtype, b=2)
+        out = config_layer_forward(xv, ca, layout, InjectionConfig.MASKED_3D, weights)
+        assert part_rows == [4 * 60, 5 * 60]
+        self._check_oracle(out, xv, ca, layout, InjectionConfig.MASKED_3D, weights, tol)
+
+    @pytest.mark.parametrize("layout,parts_2d", [
+        (TokenLayout(16, 256, 8, 256), 16),
+        (TokenLayout(256, 4, 8, 16), 12),
+        (TokenLayout(3, 5, 2), 1),
+        (TokenLayout(9, 60, 4), 2),
+        (TokenLayout(2, 256, 8), 2),
+    ], ids=["ref_layout", "long_clip", "wirings", "wirings_parts", "units"])
+    def test_part_counts_at_benchmark_and_golden_layouts(self, layout, parts_2d, monkeypatch):
+        # The 2D wirings run in parts of max(1, q_block // (N + L)) frames;
+        # the 3D wirings, whose video rows see every frame, run as one part.
+        plans = []
+        monkeypatch.setattr(topology, "_run_plan", lambda q, k, v, plan, tile: plans.append(plan) or np.zeros_like(q))
+        weights = seeded_projection_set(8, 1, 19)
+        xv, ca = self._streams(layout, 8, 1300)
+        for config in InjectionConfig:
+            plans.clear()
+            config_layer_forward(xv, ca, layout, config, weights)
+            assert len(plans) == (parts_2d if config in WIRINGS_2D else 1), config
+
     @staticmethod
     def _check_oracle(out, xv, ca, layout, config, weights, tol):
         """Float64 projections of [video | audio], then naive attention under
@@ -588,20 +621,26 @@ class TestConfigLayerForward:
                                              rf"\({where[0]}, {where[1]}, {where[2]}\)"):
             config_layer_forward(streams["x_video"], streams["c_audio"], layout, config, weights)
 
-    @pytest.mark.parametrize(
-        "video,audio,weights",  # weights: the dtypes of wq, wk, wv and wo
-        [(np.float32, np.float32, [np.float64] * 4), (np.float64, np.float32, [np.float64] * 4),
-         (np.float64, np.float64, [np.float64] * 3 + [np.float32])],
-        ids=["f64_weights", "f32_audio", "f32_wo"],
-    )
-    def test_mixed_precision_rejected(self, video, audio, weights):
+    @pytest.mark.parametrize("video,audio", [(np.float32, np.float32), (np.float64, np.float32)],
+                             ids=["f64_weights", "f32_audio"])
+    def test_mixed_precision_rejected(self, video, audio):
+        # The set holds one precision (checked when built), which both streams must share.
         layout = TokenLayout(3, 4, 2)
         w = seeded_projection_set(8, 2, 8, np.float64)
-        w = topology.ProjectionSet(*(m.astype(dt) for m, dt in zip((w.wq, w.wk, w.wv, w.wo), weights)), w.heads)
         xv, ca = self._streams(layout, 8, 1200, np.float64)
-        with pytest.raises(ValueError, match=rf"one precision.*x_video={np.dtype(video).name} "
-                                             rf"c_audio={np.dtype(audio).name} wq="):
+        with pytest.raises(ValueError, match=rf"x_video {np.dtype(video).name} and c_audio {np.dtype(audio).name} "
+                                             r"must be the projections' float64"):
             config_layer_forward(xv.astype(video), ca.astype(audio), layout, CROSS, w)
+
+    @pytest.mark.parametrize("odd", ["wq", "wk", "wv", "wo"])
+    def test_mixed_weight_precision_rejected_when_built(self, odd):
+        # Refused as the set is built, whichever matrix differs from the others.
+        w = seeded_projection_set(8, 2, 8, np.float64)
+        mats = {n: getattr(w, n).astype(np.float32 if n == odd else np.float64) for n in ("wq", "wk", "wv", "wo")}
+        # The first matrix unlike wq is named: wk when wq is the odd one.
+        named, want, got = ("wk", "float32", "float64") if odd == "wq" else (odd, "float64", "float32")
+        with pytest.raises(ValueError, match=rf"{named} must be \(8, 8\) in wq's precision {want}, got \(8, 8\) {got}"):
+            topology.ProjectionSet(**mats, heads=2)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.bool_], ids=["f16", "int", "bool"])
     def test_unsupported_weight_precision_rejected_when_built(self, dtype):
