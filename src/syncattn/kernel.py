@@ -18,10 +18,10 @@ every operation carrying the leading G axis:
     m     = m_new
 
 On a unit's first key tile the state is empty (``m = -inf``, ``l = 0``,
-``acc = +0``), so that tile takes ``m_new = rowmax(S_tile)``, skips the
-rescaling, and writes its PV product straight into ``acc`` before adding
-``+0``: the same bits as ``0 + P``, a ``-0.0`` product included.  The unit
-finishes with ``out = acc / l`` and ``lse = m + log(l)``.  Every
+``acc = +0``): the ``m_new`` update gives ``rowmax(S_tile)``, and the tile
+skips the rescaling and writes its PV product straight into ``acc`` before
+adding ``+0``, the bits of ``0 + P``, a ``-0.0`` product included.  The
+unit finishes with ``out = acc / l`` and ``lse = m + log(l)``.  Every
 query row sees the same operations on the same key tiles in the same
 order alone or in a stack; a BLAS may round a row differently in a
 matmul of other height, so its bits follow the unit rule, not only the tiles.
@@ -30,14 +30,15 @@ Two partials ``(O_1, lse_1)`` and ``(O_2, lse_2)`` over disjoint keys for
 the same queries merge into the full-key result via
 
     lse = logaddexp(lse_1, lse_2)
-    O   = exp(lse_1 - lse) * O_1 + exp(lse_2 - lse) * O_2
+    O   = exp(lse_1 - lse') * O_1 + exp(lse_2 - lse') * O_2
 
-The empty partial (zero output, lse = -inf) is a two-sided identity, so
-an all-masked query row merges cleanly.  The fold that does this runs
-the lse arithmetic in float64 even for float32 partials, applies the
-weights in the tensors' own precision and forms ``O_1 * w_1`` and
-``O_2 * w_2`` in place, each in its own operand, before adding the second
-to the first: beyond O(rows) weights it allocates nothing, and it
+with ``lse'`` the merged lse, its -inf rows replaced by 0, so the empty
+partial (zero output, lse = -inf) weighs ``exp(-inf - lse') = 0``: a
+two-sided identity, in a row empty on both sides too, forming no NaN.
+The fold runs the lse arithmetic in float64 even for float32 partials,
+applies the weights in the tensors' own precision and forms ``O_1 * w_1``
+and ``O_2 * w_2`` in place, each in its own operand, before adding the
+second to the first: beyond O(rows) weights it allocates nothing, and it
 overwrites ``O_2``, so it is only given arrays it may spend.  Disjointness
 of the key sets is the caller's obligation and is not checked.
 
@@ -105,13 +106,12 @@ def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
         v_tile = v_grp[:, j0:j0 + tile.k_block]
         s = q_grp @ k_grp[:, j0:j0 + tile.k_block].transpose(0, 2, 1)
         s *= scale
-        if j0:
-            m_new = np.maximum(lse, s.max(axis=2))
+        m_new = s.max(axis=2)
+        np.maximum(lse, m_new, out=m_new)  # the running max m is -inf on a unit's first key tile
+        if j0:  # the empty state (l = 0, acc = 0) has nothing to rescale
             alpha = np.exp(lse - m_new)
             l *= alpha
             out *= alpha[..., None]
-        else:  # the empty state: m = -inf, l = 0, acc = 0, so nothing to rescale
-            m_new = s.max(axis=2)
         s -= m_new[..., None]
         np.exp(s, out=s)
         l += s.sum(axis=2)
@@ -149,11 +149,9 @@ def _fold(dest: AttnPartial, part: AttnPartial) -> AttnPartial:
     l1 = np.asarray(lse1, dtype=np.float64)
     l2 = np.asarray(lse2, dtype=np.float64)
     lse = np.logaddexp(l1, l2)
-    # exp(-inf - -inf) for a row that is empty on both sides is defined as 0.
-    both_empty = np.isneginf(lse)
-    with np.errstate(invalid="ignore"):
-        w1 = np.where(both_empty, 0.0, np.exp(l1 - lse))[..., None].astype(o1.dtype)
-        w2 = np.where(both_empty, 0.0, np.exp(l2 - lse))[..., None].astype(o2.dtype)
+    base = np.where(lse > -np.inf, lse, 0.0)  # a row empty on both sides weighs both exp(-inf - 0) = 0
+    w1 = np.exp(l1 - base)[..., None].astype(o1.dtype)
+    w2 = np.exp(l2 - base)[..., None].astype(o2.dtype)
     lse1[...] = lse
     o1 *= w1
     o2 *= w2
