@@ -63,10 +63,20 @@ Float64 inputs keep the oracle's 1e-12 there.  Every reduction order is
 fixed, and units depend on ``cu_seqlens`` and the tiles alone, so
 results are bit-identical from run to run.  The dense call is the
 single-group case of the varlen call.
+
+Neither the update nor the fold forms a NaN from valid input, so every
+unit runs under ``np.errstate(over="raise", invalid="raise")``, and what
+can still trip it is overflow: finite inputs whose scores, the spread
+``S - m`` of a row's scores, or PV sums (``acc`` reaches S_k * max|v|
+before the division by ``l``) leave the float range of their precision
+raise one ValueError instead of returning NaN or inf.  The float64 oracle
+may still be finite there: it widens float32 inputs and normalizes before
+its PV product.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +229,10 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     it as is; a unit merging into rows that are not empty adds one unit-sized
     scratch partial, one at a time.  ``out=None`` is a fresh empty partial;
     anything else, a plain pair included, is refused.
+
+    Finite inputs whose scores, their spread within a row, or PV sums leave
+    the float range of q's precision raise ValueError, naming that range,
+    rather than return NaN or inf; a given ``out`` is then left partly folded.
     """
     q, k, v = check_qkv(q, k, v)
     cu_q = check_cu_seqlens(cu_q, q.shape[2], "cu_q")
@@ -234,9 +248,9 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     elif _check_partial(out, "out").out.shape != (b, h, s_q, d) or out.out.dtype != q.dtype:
         raise ValueError(f"out arrays must be {(b, h, s_q, d)} {q.dtype}, got {out.out.shape} {out.out.dtype}")
     units = _stacks(cu_q, cu_k, d, tile)
-    for bi in range(b):
-        for hi in range(h):
-            for q0, k0, sq, sk, n in units:
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # valid input forms no NaN, so either is out of range
+            for bi, hi, (q0, k0, sq, sk, n) in itertools.product(range(b), range(h), units):
                 rows, cols = slice(q0, q0 + n * sq), slice(k0, k0 + n * sk)
                 dest = AttnPartial(out.out[bi, hi, rows], out.lse[bi, hi, rows])  # (rows, D): one fold
                 empty = np.isneginf(dest.lse).all()
@@ -246,4 +260,6 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
                 if not empty:
                     _fold(dest, part)
                 del part  # so the next unit's scratch is not allocated beside this one
+    except FloatingPointError as exc:
+        raise ValueError(f"the attention of these finite inputs left the float range of {q.dtype} ({exc})") from None
     return out

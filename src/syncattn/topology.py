@@ -240,7 +240,10 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     all F frames are one part.  CROSS_ATTN_2D and the frozen-audio wiring
     return the input audio.  A NaN or inf in either stream is rejected,
     named by stream and (batch, row, channel), as is a stream whose
-    precision is not the projections'.
+    precision is not the projections'.  A q, k or v projection that leaves
+    the float range is named by the kernel's check of q, k or v, and an
+    output projection that does raises ValueError, as the kernel does when
+    the attention itself leaves it.
 
     Returns the updated (x_video, c_audio), of the input shapes and each in
     its own memory: the attention wiring alone, with no residual, norm or MLP.
@@ -270,15 +273,20 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         plan = block_plan(TokenLayout(fp, *per_frame), config)
         rows = max([fp * n, *(blk.rows.stop for blk in plan)])
         k0 = min([stream.shape[1], *(blk.cols.start for blk in plan)])
-        q = _split_heads(stream[:, :rows] @ weights.wq, h)
-        k, v = (_split_heads(stream[:, k0:] @ w, h) for w in (weights.wk, weights.wv))
+        with np.errstate(over="ignore", invalid="ignore"):  # the kernel's check names an inf or NaN it makes
+            q = _split_heads(stream[:, :rows] @ weights.wq, h)
+            k, v = (_split_heads(stream[:, k0:] @ w, h) for w in (weights.wk, weights.wv))
         del stream
         attn = _run_plan(q, k, v, plan, tile)
         del q, k, v
         if video is None:  # allocated once the first part's projections are freed
             video = np.empty((b, f, n, c), x_video.dtype)
             audio = np.empty((b, f, l, c), x_video.dtype) if keep_audio else None
-        y = (_join_heads(attn) @ weights.wo).reshape(b, g, rows // g, c)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                y = (_join_heads(attn) @ weights.wo).reshape(b, g, rows // g, c)
+        except FloatingPointError as exc:
+            raise ValueError(f"the output projection left the float range of {x_video.dtype} ({exc})") from None
         video[:, f0:f1] = y[:, :, :nv].reshape(b, fp, n, c)
         if keep_audio:
             audio[:, f0:f1] = y[:, :, nv:].reshape(b, fp, l, c)

@@ -439,6 +439,36 @@ class TestFirstKeyTile:
         assert results["kernel"] == results["general"]
 
 
+class TestFloatRange:
+    """Finite inputs whose scores or PV sums leave the float range of their
+    precision raise one ValueError, rather than return NaN or inf or blame
+    the output rows a block was folding into."""
+
+    LAYOUT = TokenLayout(frames=2, video_per_frame=3, audio_per_frame=2, others_len=2)
+    ENTRIES = {
+        "flash_varlen_forward": lambda q, k, v: flash_varlen_forward(q, k, v, [0, 6, 12], [0, 6, 12]),
+        "masked3d_forward": lambda q, k, v: masked3d_forward(q, k, v, TestFloatRange.LAYOUT),
+    }
+    # Per precision, the (q, k, v) values of head_dim-2 inputs: "scores"
+    # overflows q k^T, "spread" (keys of alternating sign) only a row's
+    # largest score minus its smallest, and "pv" the PV sum over two or more
+    # keys of scores near 0, though their mean fits.
+    VALUES = {np.float32: {"scores": (1.5e19, 1.5e19, 1), "spread": (1e19, 1.4e19, 1), "pv": (1e-3, 1, 3e38)},
+              np.float64: {"scores": (1e155, 1e155, 1), "spread": (1e154, 0.8e154, 1), "pv": (1e-3, 1, 1e308)}}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["scores", "spread", "pv"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_raises_one_named_error(self, entry, case, dtype):
+        q, k, v = (np.full((1, 2, self.LAYOUT.total_len, 2), x, dtype) for x in self.VALUES[dtype][case])
+        if case == "spread":
+            k[:, :, 1::2] *= -1
+        if dtype is np.float32:  # the oracle computes in float64, where these still fit
+            assert np.isfinite(naive_attention(q, k, v, build_mask(self.LAYOUT, InjectionConfig.MASKED_3D)).out).all()
+        with pytest.raises(ValueError, match=f"the attention of these finite inputs left the float range of {np.dtype(dtype)}"):
+            self.ENTRIES[entry](q, k, v)
+
+
 class TestVarlenOut:
     """``flash_varlen_forward(..., out=...)`` folds into a given partial."""
 

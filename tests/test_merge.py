@@ -43,6 +43,20 @@ class TestMergePartials:
         both = merge_partials(empty, empty)
         assert np.all(both.out == 0.0) and np.all(np.isneginf(both.lse))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_empty_on_both_sides_form_no_nan(self, dtype):
+        # Rows 0 and 3 are empty on both sides, row 1 on the second, row 2 on the first.
+        q, k, v = _qkv(7, (1, 1, 4, 8), (1, 1, 6, 8), dtype)
+        p1, p2 = _split_partials(q, k, v, [(0, 3), (3, 6)])
+        for p, rows in ((p1, [0, 2, 3]), (p2, [0, 1, 3])):
+            p.out[:, :, rows], p.lse[:, :, rows] = 0, NEG_INF
+        with np.errstate(all="raise"):
+            merged = merge_partials(p1, p2)
+        assert merged.out[:, :, [0, 3]].tobytes() == np.zeros((1, 1, 2, 8), dtype).tobytes()
+        assert np.isneginf(merged.lse[:, :, [0, 3]]).all()
+        assert merged.out[:, :, 1].tobytes() == p1.out[:, :, 1].tobytes()
+        assert merged.out[:, :, 2].tobytes() == p2.out[:, :, 2].tobytes()
+
     def test_two_key_split_weights(self):
         # Key 1 scores 0, key 2 scores ln 3, so the merged weights are
         # exactly 1/4 and 3/4.

@@ -685,6 +685,38 @@ class TestConfigLayerForward:
                                              rf"\({where[0]}, {where[1]}\)"):
             topology.ProjectionSet(**mats, heads=2)
 
+    # Per precision: (stream, wq = wk, wv, wo) scales of constant streams and
+    # identity weights. "scores": q = k fit, their scores do not; "pv": v
+    # fits, its sum over two keys does not; "projection": x @ w does not
+    # fit; "output": v summed over the layout's eight keys fits, attn @ wo
+    # does not.
+    FLOAT_RANGE = {
+        np.float32: {"scores": (1e10, 1e9, 1, 1), "pv": (1, 1e-3, 3e38, 1),
+                     "projection": (3e19, 3e19, 3e19, 3e19), "output": (1e19, 1e-30, 1e18, 1e19)},
+        np.float64: {"scores": (1e100, 1e55, 1, 1), "pv": (1, 1e-3, 1e308, 1),
+                     "projection": (1e160, 1e160, 1e160, 1e160), "output": (1e150, 1e-300, 1e150, 1e150)},
+    }
+    FLOAT_RANGE_ERRORS = {
+        "scores": "the attention of these finite inputs left the float range of {}",
+        "pv": "the attention of these finite inputs left the float range of {}",
+        "projection": r"q has a non-finite value inf at \(batch, head, row, col\) \(0, 0, 0, 0\)",
+        "output": "the output projection left the float range of {}",
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("case", ["scores", "pv", "projection", "output"])
+    @pytest.mark.parametrize("config", list(InjectionConfig), ids=lambda c: c.name)
+    def test_out_of_float_range_raises_one_named_error(self, config, case, dtype):
+        # Finite streams and weights whose products leave the float range raise
+        # ValueError and leak no RuntimeWarning (tier-1 turns one into an error).
+        layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=2)
+        x, w_qk, w_v, w_o = (dtype(a) for a in self.FLOAT_RANGE[dtype][case])
+        eye = np.eye(8, dtype=dtype)
+        weights = topology.ProjectionSet(eye * w_qk, eye * w_qk, eye * w_v, eye * w_o, heads=2)
+        xv, ca = (np.full((1, 2 * t, 8), x, dtype) for t in (layout.video_per_frame, layout.audio_per_frame))
+        with pytest.raises(ValueError, match=self.FLOAT_RANGE_ERRORS[case].format(np.dtype(dtype))):
+            config_layer_forward(xv, ca, layout, config, weights)
+
     def test_shape_validation(self):
         layout = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1, others_len=0)
         weights = seeded_projection_set(8, 2, 1)
