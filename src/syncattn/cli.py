@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .bench import IMPLS, BenchCase, make_inputs, run_case
-from .core import PRECISIONS, TokenLayout, check_count, segment_offsets
+from .core import PRECISIONS, TokenLayout, check_count, check_dims, segment_offsets
 from .golden_suites import SUITES, check_suite, generate_suite
 from .reference import naive_attention
 from .topology import InjectionConfig, build_mask, masked3d_forward
@@ -46,6 +46,7 @@ def _case_from_args(args, repeats: int = 3) -> BenchCase:
     layout = TokenLayout(args.frames, args.video_tokens, args.audio_tokens, args.others)
     if layout.total_len == 0:
         raise ValueError("layout resolves to an empty sequence")
+    check_dims((args.batch, args.heads, layout.total_len, args.head_dim))  # the generator's cap, before any tensor
     return BenchCase(
         layout=layout,
         batch=args.batch,

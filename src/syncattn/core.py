@@ -1,4 +1,5 @@
-"""Token layout arithmetic, tensor containers, seeded generation, golden-vector I/O.
+"""Token layout arithmetic, input checks, the float-range guard, tensor containers,
+seeded generation, golden-vector I/O.
 
 Shared vocabulary for the whole package:
 
@@ -16,6 +17,8 @@ Shared vocabulary for the whole package:
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,8 +31,10 @@ __all__ = [
     "TokenLayout",
     "check_count",
     "check_cu_seqlens",
+    "check_dims",
     "check_qkv",
     "check_tensor",
+    "float_range",
     "per_frame_cu_seqlens",
     "precision_name",
     "read_golden",
@@ -115,9 +120,11 @@ def per_frame_cu_seqlens(count_per_frame: int, frames: int) -> np.ndarray:
 def check_cu_seqlens(cu: np.ndarray, packed_len: int, name: str = "cu_seqlens") -> np.ndarray:
     """Validate a cumulative-boundary vector against its packed length."""
     raw = np.asarray(cu)
+    # Only an integer or float array holds integer boundaries; a float beyond
+    # int64 casts to another value, which the comparison refuses.
     with np.errstate(invalid="ignore"):
-        cu = raw.astype(np.int64)
-    if not np.array_equal(cu, raw):
+        cu = raw.astype(np.int64) if raw.dtype.kind in "iuf" else None
+    if cu is None or not np.array_equal(cu, raw):
         raise ValueError(f"{name} must hold integer boundaries, got {raw}")
     if cu.ndim != 1 or cu.size < 1:
         raise ValueError(f"{name} must be a 1-D vector of at least one boundary")
@@ -145,6 +152,19 @@ def check_tensor(x, name: str, axes: tuple[str, ...]) -> np.ndarray:
         where = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
         raise ValueError(f"{name} has a non-finite value {x[where]} at ({', '.join(axes)}) {where}")
     return x
+
+
+@contextmanager
+def float_range(dtype, what: str):
+    """The package's one float-range rule, for arithmetic that forms no NaN from
+    valid input: an overflow or invalid value in the block raises
+    ``ValueError(f"{what} left the float range of {dtype} (...)")`` where numpy
+    would warn and return inf or NaN.  Underflow stays silent."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} left the float range of {np.dtype(dtype)} ({exc})") from None
 
 
 def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,6 +199,15 @@ class AttnPartial(NamedTuple):
     lse: np.ndarray  # (B, H, S_q)
 
 
+def check_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of counts >= 0 whose element count fits the index space
+    ``seeded_random_tensor`` supports."""
+    dims = tuple(check_count(d, "dims") for d in dims)
+    if math.prod(dims) > _MAX_ELEMENTS:
+        raise ValueError(f"requested {math.prod(dims)} elements overflows the supported index space")
+    return dims
+
+
 def seeded_random_tensor(
     dims: tuple[int, int, int, int],
     seed: int,
@@ -194,12 +223,7 @@ def seeded_random_tensor(
     Note that the float32 and float64 paths consume the stream differently,
     so precision is part of the identity of a generated tensor.
     """
-    dims = tuple(check_count(d, "dims") for d in dims)
-    total = 1
-    for d in dims:
-        total *= d
-    if total > _MAX_ELEMENTS:
-        raise ValueError(f"requested {total} elements overflows the supported index space")
+    dims = check_dims(dims)
     precision_name(precision)  # rejects a precision outside PRECISIONS
     gen = np.random.Generator(np.random.Philox(check_count(seed, "seed")))
     return gen.standard_normal(size=dims, dtype=np.dtype(precision))

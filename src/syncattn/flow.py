@@ -1,5 +1,7 @@
 """Flow-matching primitives: linear interpolation path, velocity target,
-training loss, and a deterministic Euler sampler."""
+training loss, and a deterministic Euler sampler.
+
+The velocity target, the loss and each Euler step run under ``core.float_range``."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import check_count
+from .core import check_count, float_range
 
 __all__ = ["euler_sample", "fm_loss", "interpolate", "velocity_target"]
 
@@ -31,7 +33,8 @@ def velocity_target(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     x0, x1 = np.asarray(x0), np.asarray(x1)
     if x0.shape != x1.shape:
         raise ValueError(f"x0 {x0.shape} and x1 {x1.shape} must match")
-    return x1 - x0
+    with float_range(np.result_type(x0, x1), "x1 - x0"):
+        return x1 - x0
 
 
 def fm_loss(pred: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> float:
@@ -43,8 +46,9 @@ def fm_loss(pred: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> float:
         raise ValueError(f"pred {pred.shape} must match target {target.shape}")
     if pred.size == 0:
         raise ValueError(f"pred {pred.shape} is empty, so its loss is undefined")
-    diff = pred - target
-    return float(np.mean(diff * diff))
+    with float_range(np.result_type(pred, target), "the loss"):
+        diff = pred - target
+        return float(np.mean(diff * diff))
 
 
 def euler_sample(
@@ -63,5 +67,6 @@ def euler_sample(
         vel = np.asarray(velocity_fn(x, k / steps))
         if vel.shape != x.shape:
             raise ValueError(f"velocity_fn returned {vel.shape}, expected {x.shape}")
-        x = x + dt * vel
+        with float_range(np.result_type(x, vel), "the Euler step"):
+            x = x + dt * vel
     return x

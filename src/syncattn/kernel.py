@@ -65,13 +65,14 @@ results are bit-identical from run to run.  The dense call is the
 single-group case of the varlen call.
 
 Neither the update nor the fold forms a NaN from valid input, so every
-unit runs under ``np.errstate(over="raise", invalid="raise")``, and what
-can still trip it is overflow: finite inputs whose scores, the spread
+unit runs under the package's float-range guard, ``core.float_range``, and
+what can still trip it is overflow: finite inputs whose scores, the spread
 ``S - m`` of a row's scores, or PV sums (``acc`` reaches S_k * max|v|
 before the division by ``l``) leave the float range of their precision
 raise one ValueError instead of returning NaN or inf.  The float64 oracle
 may still be finite there: it widens float32 inputs and normalizes before
-its PV product.
+its PV product.  The q, k and v ``topology`` passes are checked or were
+projected under the same guard, so the call's own check of them finds nothing.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QKV_AXES, AttnPartial, check_count, check_cu_seqlens, check_qkv, check_tensor
+from .core import QKV_AXES, AttnPartial, check_count, check_cu_seqlens, check_qkv, check_tensor, float_range
 
 __all__ = ["TileConfig", "flash_forward", "flash_varlen_forward", "merge_partials"]
 
@@ -248,18 +249,15 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     elif _check_partial(out, "out").out.shape != (b, h, s_q, d) or out.out.dtype != q.dtype:
         raise ValueError(f"out arrays must be {(b, h, s_q, d)} {q.dtype}, got {out.out.shape} {out.out.dtype}")
     units = _stacks(cu_q, cu_k, d, tile)
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # valid input forms no NaN, so either is out of range
-            for bi, hi, (q0, k0, sq, sk, n) in itertools.product(range(b), range(h), units):
-                rows, cols = slice(q0, q0 + n * sq), slice(k0, k0 + n * sk)
-                dest = AttnPartial(out.out[bi, hi, rows], out.lse[bi, hi, rows])  # (rows, D): one fold
-                empty = np.isneginf(dest.lse).all()
-                part = dest if empty else AttnPartial(np.zeros((n * sq, d), q.dtype), np.full(n * sq, -np.inf, q.dtype))
-                _flash_group(q[bi, hi, rows].reshape(n, sq, d), k[bi, hi, cols].reshape(n, sk, d),
-                             v[bi, hi, cols].reshape(n, sk, d), part.out.reshape(n, sq, d), part.lse.reshape(n, sq), tile)
-                if not empty:
-                    _fold(dest, part)
-                del part  # so the next unit's scratch is not allocated beside this one
-    except FloatingPointError as exc:
-        raise ValueError(f"the attention of these finite inputs left the float range of {q.dtype} ({exc})") from None
+    with float_range(q.dtype, "the attention of these finite inputs"):
+        for bi, hi, (q0, k0, sq, sk, n) in itertools.product(range(b), range(h), units):
+            rows, cols = slice(q0, q0 + n * sq), slice(k0, k0 + n * sk)
+            dest = AttnPartial(out.out[bi, hi, rows], out.lse[bi, hi, rows])  # (rows, D): one fold
+            empty = np.isneginf(dest.lse).all()
+            part = dest if empty else AttnPartial(np.zeros((n * sq, d), q.dtype), np.full(n * sq, -np.inf, q.dtype))
+            _flash_group(q[bi, hi, rows].reshape(n, sq, d), k[bi, hi, cols].reshape(n, sk, d),
+                         v[bi, hi, cols].reshape(n, sk, d), part.out.reshape(n, sq, d), part.lse.reshape(n, sq), tile)
+            if not empty:
+                _fold(dest, part)
+            del part  # so the next unit's scratch is not allocated beside this one
     return out

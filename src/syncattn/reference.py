@@ -4,7 +4,8 @@ Scores are ``s_ij = (q_i . k_j) / sqrt(D)`` with masked pairs forced to
 -inf before the softmax, which is exactly equivalent to running attention
 over the restricted key set.  All internal arithmetic runs in float64
 regardless of the input precision so the oracle is the tightest ground
-truth available; the full score matrix is materialized by design.
+truth available; the full score matrix is materialized by design.  Results
+past the float range of the input precision raise ``core.float_range``'s error.
 
 The backward pass is the standard differentiation of masked softmax
 attention; ``finite_diff_check`` verifies it against central differences.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import QKV_AXES, AttnPartial, check_qkv, check_tensor, seeded_random_tensor
+from .core import QKV_AXES, AttnPartial, check_qkv, check_tensor, float_range, seeded_random_tensor
 
 __all__ = ["finite_diff_check", "naive_attention", "naive_backward"]
 
@@ -76,11 +77,12 @@ def naive_attention(q, k, v, mask=None) -> AttnPartial:
 
     out = np.empty((b, h, s_q, d), dtype=q.dtype)
     lse = np.empty((b, h, s_q), dtype=q.dtype)
-    for bi in range(b):
-        for hi in range(h):
-            p, lse64 = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
-            out[bi, hi] = p @ v[bi, hi].astype(np.float64)
-            lse[bi, hi] = lse64
+    with float_range(q.dtype, "the oracle's attention of these finite inputs"):
+        for bi in range(b):
+            for hi in range(h):
+                p, lse64 = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
+                out[bi, hi] = p @ v[bi, hi].astype(np.float64)
+                lse[bi, hi] = lse64
     return AttnPartial(out, lse)
 
 
@@ -108,15 +110,16 @@ def naive_backward(q, k, v, dout, mask=None):
     dq = np.empty_like(q)
     dk = np.empty_like(k)
     dv = np.empty_like(v)
-    for bi in range(b):
-        for hi in range(h):
-            p, _ = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
-            do64 = dout[bi, hi].astype(np.float64)
-            dp = do64 @ v[bi, hi].astype(np.float64).T
-            ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
-            dq[bi, hi] = ds @ k[bi, hi].astype(np.float64) * scale
-            dk[bi, hi] = ds.T @ q[bi, hi].astype(np.float64) * scale
-            dv[bi, hi] = p.T @ do64
+    with float_range(q.dtype, "the oracle's gradients of these finite inputs"):
+        for bi in range(b):
+            for hi in range(h):
+                p, _ = _masked_probabilities(q[bi, hi], k[bi, hi], allow)
+                do64 = dout[bi, hi].astype(np.float64)
+                dp = do64 @ v[bi, hi].astype(np.float64).T
+                ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
+                dq[bi, hi] = ds @ k[bi, hi].astype(np.float64) * scale
+                dk[bi, hi] = ds.T @ q[bi, hi].astype(np.float64) * scale
+                dv[bi, hi] = p.T @ do64
     return dq, dk, dv
 
 
@@ -167,5 +170,6 @@ def finite_diff_check(q, k, v, mask=None, seed: int = 0) -> tuple[float, float, 
             gflat[i] = (up - down) / (2.0 * FD_STEP)
         return grad
 
-    dq, dk, dv = naive_backward(q, k, v, dout, mask)
-    return _rel_err(dq, numeric_grad(0)), _rel_err(dk, numeric_grad(1)), _rel_err(dv, numeric_grad(2))
+    with float_range(q.dtype, "the finite-difference check of these finite inputs"):
+        dq, dk, dv = naive_backward(q, k, v, dout, mask)
+        return _rel_err(dq, numeric_grad(0)), _rel_err(dk, numeric_grad(1)), _rel_err(dv, numeric_grad(2))

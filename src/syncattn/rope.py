@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import QKV_AXES, TokenLayout, check_count, check_tensor, segment_offsets
+from .core import QKV_AXES, TokenLayout, check_count, check_tensor, float_range, segment_offsets
 
 __all__ = ["apply_rope", "assign_coords", "diagonal_1d_equivalence"]
 
@@ -111,7 +111,7 @@ def apply_rope(tensor: np.ndarray, coords: np.ndarray) -> np.ndarray:
     S must equal the coordinate count, and D is split by
     ``default_axis_split`` (even and >= 6).  The rotation is an isometry
     per token; all-zero coordinates are the identity.  Arithmetic runs in
-    float64 and is cast back to the input precision.
+    float64 and is cast back to the input precision under ``core.float_range``.
     """
     tensor = check_tensor(tensor, "tensor", QKV_AXES)
     coords = np.asarray(coords)
@@ -125,12 +125,13 @@ def apply_rope(tensor: np.ndarray, coords: np.ndarray) -> np.ndarray:
     x64 = np.asarray(tensor, dtype=np.float64)
     pieces = []
     offset = 0
-    for axis, freqs in enumerate(frequencies(tensor.shape[3])):
-        d = 2 * freqs.size
-        angles = coords[:, axis, None].astype(np.float64) * freqs[None, :]
-        pieces.append(_rotate_segment(x64[..., offset : offset + d], angles))
-        offset += d
-    return np.concatenate(pieces, axis=-1).astype(tensor.dtype)
+    with float_range(tensor.dtype, "the rotation"):
+        for axis, freqs in enumerate(frequencies(tensor.shape[3])):
+            d = 2 * freqs.size
+            angles = coords[:, axis, None].astype(np.float64) * freqs[None, :]
+            pieces.append(_rotate_segment(x64[..., offset : offset + d], angles))
+            offset += d
+        return np.concatenate(pieces, axis=-1).astype(tensor.dtype)
 
 
 def diagonal_1d_equivalence(

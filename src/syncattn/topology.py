@@ -43,6 +43,7 @@ from .core import (
     check_count,
     check_qkv,
     check_tensor,
+    float_range,
     per_frame_cu_seqlens,
     seeded_random_tensor,
     segment_offsets,
@@ -240,10 +241,10 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     all F frames are one part.  CROSS_ATTN_2D and the frozen-audio wiring
     return the input audio.  A NaN or inf in either stream is rejected,
     named by stream and (batch, row, channel), as is a stream whose
-    precision is not the projections'.  A q, k or v projection that leaves
-    the float range is named by the kernel's check of q, k or v, and an
-    output projection that does raises ValueError, as the kernel does when
-    the attention itself leaves it.
+    precision is not the projections'.  The q, k and v projections and the
+    output projection run under ``core.float_range``, as the kernel does, so
+    one that leaves the float range raises ValueError naming it, and no
+    kernel call relies on its own check of q, k and v.
 
     Returns the updated (x_video, c_audio), of the input shapes and each in
     its own memory: the attention wiring alone, with no residual, norm or MLP.
@@ -273,7 +274,7 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         plan = block_plan(TokenLayout(fp, *per_frame), config)
         rows = max([fp * n, *(blk.rows.stop for blk in plan)])
         k0 = min([stream.shape[1], *(blk.cols.start for blk in plan)])
-        with np.errstate(over="ignore", invalid="ignore"):  # the kernel's check names an inf or NaN it makes
+        with float_range(x_video.dtype, "the q, k and v projections"):  # every kernel call gets finite q, k, v
             q = _split_heads(stream[:, :rows] @ weights.wq, h)
             k, v = (_split_heads(stream[:, k0:] @ w, h) for w in (weights.wk, weights.wv))
         del stream
@@ -282,11 +283,8 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         if video is None:  # allocated once the first part's projections are freed
             video = np.empty((b, f, n, c), x_video.dtype)
             audio = np.empty((b, f, l, c), x_video.dtype) if keep_audio else None
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                y = (_join_heads(attn) @ weights.wo).reshape(b, g, rows // g, c)
-        except FloatingPointError as exc:
-            raise ValueError(f"the output projection left the float range of {x_video.dtype} ({exc})") from None
+        with float_range(x_video.dtype, "the output projection"):
+            y = (_join_heads(attn) @ weights.wo).reshape(b, g, rows // g, c)
         video[:, f0:f1] = y[:, :, :nv].reshape(b, fp, n, c)
         if keep_audio:
             audio[:, f0:f1] = y[:, :, nv:].reshape(b, fp, l, c)

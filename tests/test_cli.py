@@ -25,6 +25,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 BAD_SIZES = [("--heads", "-1"), ("--head-dim", "-1"), ("--head-dim", "0"), ("--batch", "-1"),
              ("--seed", "-1")]
 
+# A layout whose q, k and v exceed the generator's 2**40-element cap: a usage error too.
+HUGE_LAYOUT = ["--frames", str(2**40)]
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run([*CLI, *args], capture_output=True, text=True, **kwargs)
@@ -95,6 +98,10 @@ class TestValidate:
             assert main(["validate", flag, value]) == 2, flag
             assert f"{flag} must be >=" in capsys.readouterr().err
 
+    def test_size_the_generator_refuses_is_usage_error(self, capsys):
+        assert main(["validate", *HUGE_LAYOUT]) == 2
+        assert "error: requested" in capsys.readouterr().err
+
 
 class TestBench:
     BENCH_ARGS = [
@@ -112,6 +119,10 @@ class TestBench:
         for flag, value in BAD_SIZES:
             assert main(["bench", flag, value]) == 2, flag
             assert f"{flag} must be >=" in capsys.readouterr().err
+
+    def test_size_the_generator_refuses_is_usage_error(self, capsys):
+        assert main(["bench", *HUGE_LAYOUT]) == 2
+        assert "error: requested" in capsys.readouterr().err
 
     def test_jsonl_records(self):
         proc = run_cli(*self.BENCH_ARGS)

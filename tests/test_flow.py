@@ -58,6 +58,12 @@ class TestVelocityTarget:
         assert np.max(np.abs(numeric - velocity_target(x0, x1))) <= 1e-6
 
 
+    def test_out_of_float_range_raises_one_named_error(self):
+        x1 = np.full((1, 1, 2, 2), 3e38, np.float32)
+        with pytest.raises(ValueError, match=r"x1 - x0 left the float range of float32 \(overflow encountered in subtract\)"):
+            velocity_target(-x1, x1)
+
+
 class TestFmLoss:
     def test_perfect_predictor_zero(self):
         x0, x1 = _pair(6)
@@ -86,6 +92,16 @@ class TestFmLoss:
         empty = np.zeros(shape)
         with pytest.raises(ValueError, match="empty"):
             fm_loss(empty, empty, empty)
+
+
+    @pytest.mark.parametrize("pred,x0,x1,message", [
+        (0, -3e38, 3e38, r"x1 - x0 left the float range of float32 \(overflow encountered in subtract\)"),
+        (3e38, 0, 0, r"the loss left the float range of float32 \(overflow encountered in multiply\)"),
+    ], ids=["target", "square"])
+    def test_out_of_float_range_raises_one_named_error(self, pred, x0, x1, message):
+        pred, x0, x1 = (np.full((1, 1, 2, 2), a, np.float32) for a in (pred, x0, x1))
+        with pytest.raises(ValueError, match=message):
+            fm_loss(pred, x0, x1)
 
 
 class TestEulerSample:
@@ -126,3 +142,8 @@ class TestEulerSample:
         x0, _ = _pair(13)
         with pytest.raises(ValueError, match="velocity_fn"):
             euler_sample(lambda x, t: x[:, :, :2], x0, 3)
+
+    def test_out_of_float_range_raises_one_named_error(self):
+        x0 = np.full((1, 1, 2, 2), 3e38, np.float32)
+        with pytest.raises(ValueError, match=r"the Euler step left the float range of float32 \(overflow encountered in add\)"):
+            euler_sample(lambda x, t: np.full_like(x, 3e38), x0, 1)

@@ -354,7 +354,10 @@ class TestFlashVarlen:
 
     def test_non_integer_boundaries_rejected(self):
         q, k, v = _qkv(43, (1, 1, 3, 8), (1, 1, 3, 8))
-        for bad in ([0, 1.5, 3], [0, np.nan, 3], [0, np.inf, 3]):
+        # A boundary past int64, a complex, object or bool array: refused by
+        # the same error, not by an OverflowError or a ComplexWarning.
+        for bad in ([0, 1.5, 3], [0, np.nan, 3], [0, np.inf, 3], [0, 2**70], np.array([0, 3 + 0j]),
+                    np.array([0, 3], object), [False, True]):
             with pytest.raises(ValueError, match="integer boundaries"):
                 flash_varlen_forward(q, k, v, bad, bad)
         whole = flash_varlen_forward(q, k, v, [0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
@@ -467,6 +470,12 @@ class TestFloatRange:
             assert np.isfinite(naive_attention(q, k, v, build_mask(self.LAYOUT, InjectionConfig.MASKED_3D)).out).all()
         with pytest.raises(ValueError, match=f"the attention of these finite inputs left the float range of {np.dtype(dtype)}"):
             self.ENTRIES[entry](q, k, v)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["scores", "spread", "pv"])
+    def test_masked3d_forward_needs_no_kernel_check(self, unchecked_kernel, case, dtype):
+        # The float-range guard, not a per-block rescan, raises each error.
+        self.test_raises_one_named_error("masked3d_forward", case, dtype)
 
 
 class TestVarlenOut:

@@ -122,6 +122,43 @@ class TestForward:
             naive_attention(q, q, q)
 
 
+class TestFloatRange:
+    """Finite inputs whose oracle results leave the float range of their
+    precision raise one ValueError rather than return inf with a leaked
+    RuntimeWarning, as the kernel does."""
+
+    # float32: the float64 lse of q = k = 2e19 (4e38) does not fit float32;
+    # float64: the scores of q = k = 1e155 overflow the float64 matmul.
+    @pytest.mark.parametrize("dtype,x,op", [(np.float32, 2e19, "cast"), (np.float64, 1e155, "matmul")],
+                             ids=["f32", "f64"])
+    def test_attention_raises_one_named_error(self, dtype, x, op):
+        q = np.full((1, 1, 1, 1), x, dtype)
+        with pytest.raises(ValueError, match=rf"the oracle's attention of these finite inputs left the float range "
+                                             rf"of {np.dtype(dtype)} \(overflow encountered in {op}\)"):
+            naive_attention(q, q, q)
+
+    # float32: two queries put dout = 3e38 each on the one key, so dV = 6e38
+    # does not fit float32; float64: the scores overflow as above.
+    @pytest.mark.parametrize("dtype,op", [(np.float32, "cast"), (np.float64, "matmul")], ids=["f32", "f64"])
+    def test_backward_raises_one_named_error(self, dtype, op):
+        if dtype is np.float32:
+            q, kv, dout = np.zeros((1, 1, 2, 1), dtype), np.zeros((1, 1, 1, 1), dtype), np.full((1, 1, 2, 1), 3e38, dtype)
+        else:
+            q = kv = dout = np.full((1, 1, 1, 1), 1e155, dtype)
+        with pytest.raises(ValueError, match=rf"the oracle's gradients of these finite inputs left the float range "
+                                             rf"of {np.dtype(dtype)} \(overflow encountered in {op}\)"):
+            naive_backward(q, kv, kv, dout)
+
+    def test_finite_diff_check_raises_one_named_error(self):
+        # Uniform attention over 1000 values of 1e307: every output and
+        # gradient fits, but the loss sums 1e307 * dout over the rows (seed 0:
+        # sum(dout) = -53.5) past float64's range.
+        z, v = np.zeros((1, 1, 1000, 1)), np.full((1, 1, 1000, 1), 1e307)
+        with pytest.raises(ValueError, match=r"the finite-difference check of these finite inputs left the float "
+                                             r"range of float64 \(overflow encountered in reduce\)"):
+            finite_diff_check(z, z, v)
+
+
 class TestBackward:
     def test_zero_dout_gives_zero_gradients(self):
         q = _rand((1, 2, 3, 4), 71)

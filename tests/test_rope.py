@@ -163,6 +163,14 @@ class TestApplyRope:
             apply_rope(seeded_random_tensor((1, 1, 4, 16), 14), coords)
 
 
+    def test_out_of_float_range_raises_one_named_error(self):
+        # A rotation by a non-zero angle mixes 3e38 with 3e38 into a value
+        # past float32's range, computed in float64 and cast back.
+        with pytest.raises(ValueError, match=r"the rotation left the float range of float32 "
+                                             r"\(overflow encountered in cast\)"):
+            apply_rope(np.full((1, 1, 2, 6), 3e38, np.float32), [[0, 1, 1], [0, 2, 2]])
+
+
 class TestDiagonal1dEquivalence:
     def test_zero_position_zero_deviation(self):
         assert diagonal_1d_equivalence(16, positions=(0,), cases=5) == 0.0

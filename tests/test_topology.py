@@ -604,15 +604,14 @@ class TestConfigLayerForward:
             owner = x if x.base is None else x.base
             assert owner.nbytes == x.nbytes
 
-    @pytest.mark.parametrize(
-        "config,layout,stream,where",
-        [
-            (CROSS, TokenLayout(3, 4, 0), "x_video", (0, 5, 3)),  # no keys: the NaN would vanish
-            (SELF, TokenLayout(3, 4, 2), "x_video", (0, 5, 3)),  # folded: not row 5 of q
-            (InjectionConfig.MASKED_3D, TokenLayout(3, 4, 2), "c_audio", (1, 2, 0)),
-        ],
-        ids=["cross_no_audio", "self_folded", "masked_audio"],
-    )
+    NON_FINITE_STREAMS = [
+        (CROSS, TokenLayout(3, 4, 0), "x_video", (0, 5, 3)),  # no keys: the NaN would vanish
+        (SELF, TokenLayout(3, 4, 2), "x_video", (0, 5, 3)),  # folded: not row 5 of q
+        (InjectionConfig.MASKED_3D, TokenLayout(3, 4, 2), "c_audio", (1, 2, 0)),
+    ]
+
+    @pytest.mark.parametrize("config,layout,stream,where", NON_FINITE_STREAMS,
+                             ids=["cross_no_audio", "self_folded", "masked_audio"])
     def test_non_finite_stream_named(self, config, layout, stream, where):
         weights = seeded_projection_set(8, 2, 6)
         streams = dict(zip(("x_video", "c_audio"), self._streams(layout, 8, 1000, b=2)))
@@ -699,7 +698,7 @@ class TestConfigLayerForward:
     FLOAT_RANGE_ERRORS = {
         "scores": "the attention of these finite inputs left the float range of {}",
         "pv": "the attention of these finite inputs left the float range of {}",
-        "projection": r"q has a non-finite value inf at \(batch, head, row, col\) \(0, 0, 0, 0\)",
+        "projection": "the q, k and v projections left the float range of {}",
         "output": "the output projection left the float range of {}",
     }
 
@@ -723,6 +722,29 @@ class TestConfigLayerForward:
         xv, ca = self._streams(layout, 8, 500)
         with pytest.raises(ValueError):
             config_layer_forward(xv[:, :-1], ca, layout, InjectionConfig.SELF_ATTN_2D, weights)
+
+
+class TestKernelChecksRedundant:
+    """Both callers of ``_run_plan`` hand the kernel only finite q, k and v and
+    a fresh output: with the kernel's per-call checks made pass-throughs, every
+    non-finite-input and float-range case of ``masked3d_forward`` (with
+    ``TestFloatRange`` in test_kernel.py) and of ``config_layer_forward``
+    still raises its usual error."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_masked3d_forward_non_finite_key(self, unchecked_kernel, bad):
+        TestNonFiniteInput().test_non_finite_key_rejected("masked3d_forward", bad)
+
+    @pytest.mark.parametrize("config,layout,stream,where", TestConfigLayerForward.NON_FINITE_STREAMS,
+                             ids=["cross_no_audio", "self_folded", "masked_audio"])
+    def test_layer_non_finite_stream(self, unchecked_kernel, config, layout, stream, where):
+        TestConfigLayerForward().test_non_finite_stream_named(config, layout, stream, where)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("case", ["scores", "pv", "projection", "output"])
+    @pytest.mark.parametrize("config", list(InjectionConfig), ids=lambda c: c.name)
+    def test_layer_out_of_float_range(self, unchecked_kernel, config, case, dtype):
+        TestConfigLayerForward().test_out_of_float_range_raises_one_named_error(config, case, dtype)
 
 
 class TestPeakMemory:
