@@ -21,7 +21,7 @@ from .core import (
     write_golden,
 )
 from .flow import euler_sample, fm_loss, interpolate, velocity_target
-from .kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
+from .kernel import TileConfig, flash_varlen_forward, merge_partials
 from .reference import finite_diff_check, naive_attention, naive_backward
 from .rope import apply_rope, assign_coords, diagonal_1d_equivalence
 from .topology import (
@@ -49,7 +49,6 @@ __all__ = [
     "diagonal_1d_equivalence",
     "euler_sample",
     "finite_diff_check",
-    "flash_forward",
     "flash_varlen_forward",
     "fm_loss",
     "interpolate",

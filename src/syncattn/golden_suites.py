@@ -28,7 +28,7 @@ from .core import (
     write_golden,
 )
 from .flow import euler_sample, fm_loss, interpolate
-from .kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
+from .kernel import TileConfig, flash_varlen_forward, merge_partials
 from .reference import naive_attention
 from .rope import apply_rope, assign_coords
 from .topology import InjectionConfig, config_layer_forward, masked3d_forward, seeded_projection_set
@@ -51,7 +51,7 @@ def _attention_cases(dtype):
         q = seeded_random_tensor((1, 2, 97, 16), 11, dtype)
         k = seeded_random_tensor((1, 2, 203, 16), 12, dtype)
         v = seeded_random_tensor((1, 2, 203, 16), 13, dtype)
-        part = flash_forward(q, k, v, TileConfig(32, 48))
+        part = flash_varlen_forward(q, k, v, [0, 97], [0, 203], TileConfig(32, 48))
         return {"out": part.out, "lse": _lse4(part.lse)}
 
     def varlen():

@@ -84,7 +84,7 @@ import numpy as np
 
 from .core import QKV_AXES, AttnPartial, check_count, check_cu_seqlens, check_qkv, check_tensor, float_range
 
-__all__ = ["TileConfig", "flash_forward", "flash_varlen_forward", "merge_partials"]
+__all__ = ["TileConfig", "flash_varlen_forward", "merge_partials"]
 
 # Default 256x512 tiles, from a sweep of the reference layout (2-core x86,
 # one OpenBLAS thread, float32): every tile from 128x512 to 1024x1024 ran
@@ -183,12 +183,10 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
 
 
 def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
-    """Streaming attention over a dense equal-length batch, with LSE.
+    """``flash_varlen_forward(q, k, v, [0, S_q], [0, S_k], tile)``, the dense call.
 
-    Mathematically equal to unmasked naive attention; masking is achieved
-    upstream by restricting the key set handed to this kernel.  A zero-key
-    input returns the empty partial (zero output, lse = -inf everywhere).
-    This is :func:`flash_varlen_forward` with one group spanning all rows.
+    Not exported: the name is kept only because ``benchmark/spans.py`` traces
+    it through ``topology``, until the benchmark traces plan blocks instead.
     """
     # The varlen call's one check_qkv rejects other ranks before the bounds are read.
     s_q, s_k = (np.shape(x)[2] if np.ndim(x) == 4 else 0 for x in (q, k))
@@ -218,10 +216,10 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
 
     Group ``g`` spans ``cu_q[g]:cu_q[g+1]`` of the packed queries and
     ``cu_k[g]:cu_k[g+1]`` of the packed keys/values; its queries attend
-    only to its own keys.  Bit-identical to running :func:`flash_forward`
-    independently per group and concatenating in query order, though
-    adjacent equal groups run as one stack.  Queries of a zero-key group
-    get zero output and lse = -inf.
+    only to its own keys.  Bit-identical to one call per group concatenated
+    in query order, though adjacent equal groups run as one stack; the dense
+    call is the one-group case, ``cu_q = [0, S_q]`` and ``cu_k = [0, S_k]``.
+    Queries of a zero-key group get zero output and lse = -inf.
 
     ``out``, if given, is an AttnPartial of arrays of shape (B, H, S_q, D) and
     (B, H, S_q) in q's dtype, possibly strided views of larger arrays, checked
@@ -229,7 +227,9 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     into it, bit for bit as ``merge_partials(out, fresh)`` would, and returns
     it as is; a unit merging into rows that are not empty adds one unit-sized
     scratch partial, one at a time.  ``out=None`` is a fresh empty partial;
-    anything else, a plain pair included, is refused.
+    anything else, a plain pair included, is refused, and so is an ``out``
+    sharing memory with q, k or v, which later units still read, or whose
+    two arrays share elements.
 
     Finite inputs whose scores, their spread within a row, or PV sums leave
     the float range of q's precision raise ValueError, naming that range,
@@ -248,6 +248,12 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
         raise ValueError(f"out must be an AttnPartial of arrays to fold into, got {type(out).__name__}")
     elif _check_partial(out, "out").out.shape != (b, h, s_q, d) or out.out.dtype != q.dtype:
         raise ValueError(f"out arrays must be {(b, h, s_q, d)} {q.dtype}, got {out.out.shape} {out.out.dtype}")
+    else:  # np.shares_memory is exact; arrays of disjoint bounds cost one comparison
+        for name, x in (("q", q), ("k", k), ("v", v)):
+            if np.shares_memory(out.out, x) or np.shares_memory(out.lse, x):
+                raise ValueError(f"out shares memory with {name}, which the call still reads while it writes out")
+        if np.shares_memory(out.out, out.lse):
+            raise ValueError("out's out and lse arrays share memory; the call writes them apart")
     units = _stacks(cu_q, cu_k, d, tile)
     with float_range(q.dtype, "the attention of these finite inputs"):
         for bi, hi, (q0, k0, sq, sk, n) in itertools.product(range(b), range(h), units):

@@ -48,7 +48,7 @@ from .core import (
     seeded_random_tensor,
     segment_offsets,
 )
-# Unused flash_forward and merge_partials stay: benchmark/spans.py wraps both names here.
+# Unused flash_forward and merge_partials stay only for benchmark/spans.py, which wraps them here (ROADMAP item 2).
 from .kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials  # noqa: F401
 
 __all__ = [

@@ -16,7 +16,7 @@ from syncattn.bench import BenchCase, run_case, sweep_layouts
 from syncattn.core import AttnPartial, TokenLayout, seeded_random_tensor, segment_offsets
 from syncattn.flow import euler_sample, fm_loss, interpolate, velocity_target
 from syncattn.golden_suites import SUITES, check_suite, generate_suite
-from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
+from syncattn.kernel import TileConfig, flash_varlen_forward, merge_partials
 from syncattn.reference import FD_TOL, finite_diff_check, naive_attention
 from syncattn.rope import DIAGONAL_TOL, apply_rope, assign_coords, diagonal_1d_equivalence
 from syncattn.topology import InjectionConfig, build_mask, masked3d_forward
@@ -121,7 +121,7 @@ def test_criterion_3_kernel_equivalence():
         q = seeded_random_tensor(dims_q, 9000 + 3 * i, dtype)
         k = seeded_random_tensor(dims_k, 9001 + 3 * i, dtype)
         v = seeded_random_tensor(dims_k, 9002 + 3 * i, dtype)
-        got = flash_forward(q, k, v)
+        got = flash_varlen_forward(q, k, v, [0, dims_q[2]], [0, dims_k[2]])
         ref = naive_attention(q, k, v)
         assert np.max(np.abs(got.out - ref.out)) <= tol, (dims_q, dims_k, dtype)
         _lse_close(got.lse, ref.lse, tol)
@@ -159,7 +159,7 @@ def test_criterion_3_kernel_equivalence():
         q = seeded_random_tensor(dims_q, 9700 + 3 * i, dtype)
         k = seeded_random_tensor(dims_k, 9701 + 3 * i, dtype)
         v = seeded_random_tensor(dims_k, 9702 + 3 * i, dtype)
-        got = flash_forward(q, k, v, TileConfig(64, 64))
+        got = flash_varlen_forward(q, k, v, [0, dims_q[2]], [0, s_k], TileConfig(64, 64))
         ref = naive_attention(q, k, v)
         assert np.max(np.abs(got.out - ref.out)) <= tol, (dims_q, s_k, dtype)
         _lse_close(got.lse, ref.lse, tol)
@@ -175,7 +175,7 @@ def test_criterion_3_kernel_equivalence():
         k = seeded_random_tensor(dims_k, 9901 + 3 * i, np.float32)
         v = seeded_random_tensor(dims_k, 9902 + 3 * i, np.float32)
         results = [
-            flash_forward(q, k, v, TileConfig(qb, kb))
+            flash_varlen_forward(q, k, v, [0, dims_q[2]], [0, dims_k[2]], TileConfig(qb, kb))
             for qb, kb in [(16, 16), (64, 64), (128, 32)]
         ]
         for other in results[1:]:

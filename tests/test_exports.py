@@ -19,6 +19,16 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", {})
 
 
+@pytest.mark.parametrize("name", ["syncattn", "syncattn.kernel"])
+def test_one_public_kernel_entry_point(name):
+    # The dense call is flash_varlen_forward's one-group case, so it has no name of its own.
+    module = importlib.import_module(name)
+    assert {"flash_varlen_forward", "merge_partials"} <= set(module.__all__)
+    assert "flash_forward" not in module.__all__
+    if name == "syncattn":
+        assert not hasattr(module, "flash_forward")
+
+
 @pytest.mark.parametrize("name", ["flash_forward", "flash_varlen_forward", "merge_partials"])
 def test_topology_calls_the_kernel_names_the_benchmark_wraps(name):
     # benchmark/spans.py traces these names where syncattn.topology looks them up.

@@ -6,7 +6,7 @@ import pytest
 from syncattn import kernel
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import AttnPartial, TokenLayout, per_frame_cu_seqlens, seeded_random_tensor
-from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials
+from syncattn.kernel import TileConfig, flash_varlen_forward, merge_partials
 from syncattn.reference import naive_attention
 from syncattn.topology import InjectionConfig, block_plan, build_mask, masked3d_forward
 
@@ -33,16 +33,18 @@ def _lse_diff(a, b):
 
 
 class TestFlashForward:
+    """The dense call: ``flash_varlen_forward`` with one group, ``[0, S_q], [0, S_k]``."""
+
     def test_single_query_single_key(self):
         q, k, v = _qkv(0, (1, 1, 1, 4), (1, 1, 1, 4), np.float64)
-        out, lse = flash_forward(q, k, v)
+        out, lse = flash_varlen_forward(q, k, v, [0, 1], [0, 1])
         np.testing.assert_allclose(out, v, atol=1e-15)
         expected_s = float(q[0, 0, 0] @ k[0, 0, 0]) / 2.0
         np.testing.assert_allclose(lse[0, 0, 0], expected_s, atol=1e-15)
 
     def test_single_tile_matches_oracle(self):
         q, k, v = _qkv(3, (1, 2, 17, 8), (1, 2, 40, 8))
-        got = flash_forward(q, k, v, TileConfig(64, 64))
+        got = flash_varlen_forward(q, k, v, [0, 17], [0, 40], TileConfig(64, 64))
         ref = naive_attention(q, k, v)
         assert np.max(np.abs(got.out - ref.out)) <= 1e-6
         assert np.max(np.abs(got.lse - ref.lse)) <= 1e-6
@@ -50,7 +52,7 @@ class TestFlashForward:
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_many_tiles_match_oracle(self, dtype, tol):
         q, k, v = _qkv(7, (1, 1, 33, 16), (1, 1, 5000, 16), dtype)
-        got = flash_forward(q, k, v, TileConfig(16, 64))
+        got = flash_varlen_forward(q, k, v, [0, 33], [0, 5000], TileConfig(16, 64))
         ref = naive_attention(q, k, v)
         assert np.max(np.abs(got.out - ref.out)) <= tol
         assert np.max(np.abs(got.lse - ref.lse)) <= tol
@@ -58,7 +60,7 @@ class TestFlashForward:
     def test_zero_keys_returns_empty_partial(self):
         q = seeded_random_tensor((1, 1, 4, 8), 1)
         k = np.zeros((1, 1, 0, 8), dtype=np.float32)
-        out, lse = flash_forward(q, k, k)
+        out, lse = flash_varlen_forward(q, k, k, [0, 4], [0, 0])
         assert np.all(out == 0.0)
         assert np.all(np.isneginf(lse))
 
@@ -71,7 +73,7 @@ class TestFlashForward:
             d = int(rng.choice([8, 16, 64]))
             dtype, tol = (np.float32, 1e-5) if i % 2 else (np.float64, 1e-12)
             q, k, v = _qkv(1000 + i, (1, h, s_q, d), (1, h, s_k, d), dtype)
-            got = flash_forward(q, k, v)
+            got = flash_varlen_forward(q, k, v, [0, s_q], [0, s_k])
             ref = naive_attention(q, k, v)
             assert np.max(np.abs(got.out - ref.out)) <= tol, (s_q, s_k, h, d, dtype)
             assert np.max(np.abs(got.lse - ref.lse)) <= tol
@@ -79,7 +81,7 @@ class TestFlashForward:
     def test_tile_independence(self):
         q, k, v = _qkv(13, (1, 2, 100, 16), (1, 2, 300, 16))
         results = [
-            flash_forward(q, k, v, TileConfig(qb, kb))
+            flash_varlen_forward(q, k, v, [0, 100], [0, 300], TileConfig(qb, kb))
             for qb, kb in [(16, 16), (64, 64), (128, 32)]
         ]
         for other in results[1:]:
@@ -92,7 +94,7 @@ class TestFlashForward:
         # the same allocation counter the bench harness uses.
         def peak_for(s_k):
             q, k, v = _qkv(17, (1, 1, 64, 32), (1, 1, s_k, 32))
-            _, peak = measure_peak_bytes(lambda: flash_forward(q, k, v, TileConfig(64, 64)))
+            _, peak = measure_peak_bytes(lambda: flash_varlen_forward(q, k, v, [0, 64], [0, s_k], TileConfig(64, 64)))
             return peak
 
         small, large = peak_for(256), peak_for(4096)
@@ -103,7 +105,7 @@ class TestFlashForward:
         # several key tiles and a key tile serves one query block.
         def peak_for(s_k):
             q, k, v = _qkv(19, (1, 1, 64, 64), (1, 1, s_k, 64))
-            _, peak = measure_peak_bytes(lambda: flash_forward(q, k, v))
+            _, peak = measure_peak_bytes(lambda: flash_varlen_forward(q, k, v, [0, 64], [0, s_k]))
             return peak
 
         assert 1024 > TileConfig().k_block
@@ -114,11 +116,11 @@ class TestFlashForward:
         q = seeded_random_tensor((1, 1, 4, 8), 0)
         k = seeded_random_tensor((1, 2, 4, 8), 1)
         with pytest.raises(ValueError):
-            flash_forward(q, k, k)
+            flash_varlen_forward(q, k, k, [0, 4], [0, 4])
         with pytest.raises(ValueError):
-            flash_forward(q, q.astype(np.float64), q)
+            flash_varlen_forward(q, q.astype(np.float64), q, [0, 4], [0, 4])
         with pytest.raises(ValueError, match="4 axes"):
-            flash_forward(q[0], q[0], q[0])
+            flash_varlen_forward(q[0], q[0], q[0], [0, 4], [0, 4])
         with pytest.raises(ValueError, match="q_block must be >= 1"):
             TileConfig(0, 64)
         with pytest.raises(ValueError, match="q_block must be an integer"):
@@ -129,12 +131,8 @@ class TestFlashForward:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_head_dim_rejected(self):
         q = np.zeros((1, 2, 3, 0), dtype=np.float32)
-        for call in (
-            lambda: flash_forward(q, q, q),
-            lambda: flash_varlen_forward(q, q, q, [0, 3], [0, 3]),
-        ):
-            with pytest.raises(ValueError, match="head_dim must be >= 1"):
-                call()
+        with pytest.raises(ValueError, match="head_dim must be >= 1"):
+            flash_varlen_forward(q, q, q, [0, 3], [0, 3])
 
 
 EXTREME_LAYOUT = TokenLayout(frames=4, video_per_frame=40, audio_per_frame=6, others_len=30)
@@ -142,7 +140,7 @@ EXTREME_LAYOUT = TokenLayout(frames=4, video_per_frame=40, audio_per_frame=6, ot
 
 def _extreme_logit_inputs(entry, q_scale, dtype):
     """The entry's q, k, v with q scaled by ``q_scale``."""
-    if entry == "flash_forward":
+    if entry == "flash_varlen_forward":
         q, k, v = _qkv(47, (1, 2, 70, 32), (1, 2, 1100, 32), dtype)
     else:
         dims = (1, 2, EXTREME_LAYOUT.total_len, 32)
@@ -154,8 +152,8 @@ def _extreme_logit_case(entry, q_scale, dtype):
     """Inputs with q scaled by ``q_scale``, the entry's output on them, and
     the float64 oracle on the same (exactly widened) values."""
     q, k, v = _extreme_logit_inputs(entry, q_scale, dtype)
-    if entry == "flash_forward":
-        mask, got = None, flash_forward(q, k, v).out
+    if entry == "flash_varlen_forward":
+        mask, got = None, flash_varlen_forward(q, k, v, [0, q.shape[2]], [0, k.shape[2]]).out
     else:
         mask = build_mask(EXTREME_LAYOUT, InjectionConfig.MASKED_3D)
         got = masked3d_forward(q, k, v, EXTREME_LAYOUT)
@@ -170,7 +168,7 @@ def _max_score(q, k):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("entry", ["flash_forward", "masked3d_forward"])
+@pytest.mark.parametrize("entry", ["flash_varlen_forward", "masked3d_forward"])
 @pytest.mark.parametrize("q_scale", [1, 8, 64, 3000])
 class TestExtremeLogits:
     """Scaled queries push the scores to |s| ~ 16 000 over several key
@@ -190,7 +188,7 @@ class TestExtremeLogits:
         # kernel call obeys its own law: the dense call's, or that of every
         # block masked3d_forward runs (its stacked per-frame groups too).
         q, k, v = _extreme_logit_inputs(entry, q_scale, np.float32)
-        if entry == "flash_forward":
+        if entry == "flash_varlen_forward":
             calls = [(slice(None), slice(None), [0, q.shape[2]], [0, k.shape[2]])]
         else:
             calls = [(b.rows, b.cols, b.cu_q, b.cu_k) for b in block_plan(EXTREME_LAYOUT, InjectionConfig.MASKED_3D)]
@@ -209,8 +207,9 @@ class TestExtremeLogits:
 
 class TestFlashVarlen:
     def test_single_group_equals_dense(self):
+        # The dense call is the one-group call, whatever form its bounds take.
         q, k, v = _qkv(23, (1, 2, 37, 8), (1, 2, 51, 8))
-        dense = flash_forward(q, k, v)
+        dense = flash_varlen_forward(q, k, v, [0, 37], [0, 51])
         varlen = flash_varlen_forward(q, k, v, np.array([0, 37]), np.array([0, 51]))
         assert dense.out.tobytes() == varlen.out.tobytes()
         assert dense.lse.tobytes() == varlen.lse.tobytes()
@@ -277,7 +276,7 @@ class TestFlashVarlen:
         assert stacks == [2, 2, 2, 2, 1, 1, 1, 3, 3, 2] * 4  # per (batch, head)
 
         parts = [
-            flash_forward(q[:, :, q0:q1], k[:, :, k0:k1], v[:, :, k0:k1], tile)
+            flash_varlen_forward(q[:, :, q0:q1], k[:, :, k0:k1], v[:, :, k0:k1], [0, q1 - q0], [0, k1 - k0], tile)
             for q0, q1, k0, k1 in zip(cu_q[:-1], cu_q[1:], cu_k[:-1], cu_k[1:])
         ]
         assert got.out.tobytes() == np.concatenate([p.out for p in parts], axis=2).tobytes()
@@ -593,6 +592,38 @@ class TestVarlenOut:
         dest.lse[1, 0, row] = np.nan
         with pytest.raises(ValueError, match=rf"out has lse nan at \(1, 0, {row}\); an lse must be finite or -inf"):
             flash_varlen_forward(q, k, v, self.CU_Q, self.CU_K, out=dest)
+
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    def test_out_sharing_an_input_refused(self, name):
+        # The call writes out's rows while later key tiles still read q, k
+        # and v, so an out or lse in their memory would give wrong rows and
+        # overwrite the input; either is refused before anything is written.
+        q, k, v = _qkv(1, (1, 1, 8, 4), (1, 1, 8, 4), np.float64)
+        x = {"q": q, "k": k, "v": v}[name]
+        before = x.copy()
+        for dest in (AttnPartial(x, np.full((1, 1, 8), -np.inf)), AttnPartial(np.zeros_like(q), x[..., 0])):
+            with pytest.raises(ValueError, match=f"out shares memory with {name}, which the call still reads"):
+                flash_varlen_forward(q, k, v, [0, 8], [0, 8], TileConfig(8, 2), out=dest)
+        assert x.tobytes() == before.tobytes()
+
+    def test_out_and_lse_sharing_elements_refused(self):
+        q, k, v = _qkv(1, (1, 1, 8, 4), (1, 1, 8, 4), np.float64)
+        rows = np.zeros((1, 1, 8, 4))
+        with pytest.raises(ValueError, match="out's out and lse arrays share memory"):
+            flash_varlen_forward(q, k, v, [0, 8], [0, 8], TileConfig(8, 2), out=AttnPartial(rows, rows[..., 0]))
+
+    def test_lse_beside_out_in_one_buffer_accepted(self):
+        # Interleaved in one buffer but sharing no element, the two arrays
+        # are written apart, so the call gives the fresh result.
+        q, k, v = _qkv(1, (1, 1, 8, 4), (1, 1, 8, 4), np.float64)
+        buf = np.zeros((1, 1, 8, 5))
+        dest = AttnPartial(buf[..., :4], buf[..., 4])
+        dest.lse[...] = -np.inf
+        got = flash_varlen_forward(q, k, v, [0, 8], [0, 8], TileConfig(8, 2), out=dest)
+        fresh = flash_varlen_forward(q, k, v, [0, 8], [0, 8], TileConfig(8, 2))
+        assert got is dest
+        assert np.ascontiguousarray(got.out).tobytes() == fresh.out.tobytes()
+        assert np.ascontiguousarray(got.lse).tobytes() == fresh.lse.tobytes()
 
     def test_merge_partials_takes_no_out(self):
         # The kernel's fold is the only merge in place; merge_partials is pure,

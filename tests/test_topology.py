@@ -14,7 +14,7 @@ from syncattn.core import (
     seeded_random_tensor,
     segment_offsets,
 )
-from syncattn.kernel import TileConfig, flash_forward, flash_varlen_forward
+from syncattn.kernel import TileConfig, flash_varlen_forward
 from syncattn.reference import naive_attention
 from syncattn.topology import (
     InjectionConfig,
@@ -204,14 +204,15 @@ class TestMasked3dForward:
         layout = TokenLayout(frames=3, video_per_frame=4, audio_per_frame=0, others_len=5)
         q, k, v = _qkv(layout, 10)
         got = masked3d_forward(q, k, v, layout)
-        ref = flash_forward(q, k, v).out
+        ref = flash_varlen_forward(q, k, v, [0, layout.total_len], [0, layout.total_len]).out
         assert np.array_equal(got, ref)
 
     def test_single_frame_no_others_equals_unmasked(self):
         layout = TokenLayout(frames=1, video_per_frame=6, audio_per_frame=3, others_len=0)
         q, k, v = _qkv(layout, 20)
         got = masked3d_forward(q, k, v, layout)
-        assert np.max(np.abs(got - flash_forward(q, k, v).out)) <= 1e-5
+        dense = flash_varlen_forward(q, k, v, [0, layout.total_len], [0, layout.total_len]).out
+        assert np.max(np.abs(got - dense)) <= 1e-5
         assert np.max(np.abs(got - naive_attention(q, k, v).out)) <= 1e-5
 
     def test_matches_oracle_f32(self):
