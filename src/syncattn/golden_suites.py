@@ -31,7 +31,7 @@ from .flow import euler_sample, fm_loss, interpolate
 from .kernel import TileConfig, flash_varlen_forward, merge_partials
 from .reference import naive_attention
 from .rope import apply_rope, assign_coords
-from .topology import InjectionConfig, config_layer_forward, masked3d_forward, seeded_projection_set
+from .topology import InjectionConfig, _run_plan, block_plan, config_layer_forward, masked3d_forward, seeded_projection_set
 
 __all__ = ["F32_TOL", "SUITES", "check_suite", "generate_suite"]
 
@@ -110,7 +110,7 @@ def _masked3d_cases(dtype):
         q = seeded_random_tensor(dims, 61, dtype)
         k = seeded_random_tensor(dims, 62, dtype)
         v = seeded_random_tensor(dims, 63, dtype)
-        return {"out": masked3d_forward(q, k, v, layout, TileConfig(16, 16))}
+        return {"out": _run_plan(q, k, v, block_plan(layout, InjectionConfig.MASKED_3D), TileConfig(16, 16))}
 
     return [("decomposed", decomposed)]
 

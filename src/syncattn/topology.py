@@ -128,20 +128,20 @@ def build_mask(layout: TokenLayout, config: InjectionConfig) -> np.ndarray:
     return allow
 
 
-def masked3d_forward(q, k, v, layout: TokenLayout, tile: TileConfig = TileConfig()) -> np.ndarray:
+def masked3d_forward(q, k, v, layout: TokenLayout) -> np.ndarray:
     """Frame-synchronized masked attention via decomposition and LSE merging.
 
     Inputs are packed in the fixed segment order of ``layout`` and the
     sequence axis must equal ``layout.total_len``.  Runs the MASKED_3D
-    ``block_plan``.  Equals naive attention under the MASKED_3D
-    permission matrix.
+    ``block_plan`` at the kernel's default tiles, as the layer does.  Equals
+    naive attention under the MASKED_3D permission matrix.
     """
     q, k, v = check_qkv(q, k, v)
     if q.shape != k.shape:
         raise ValueError(f"q/k/v must share one shape, got {q.shape} {k.shape} {v.shape}")
     if q.shape[2] != layout.total_len:
         raise ValueError(f"packed length {q.shape[2]} != layout total_len {layout.total_len}")
-    return _run_plan(q, k, v, block_plan(layout, InjectionConfig.MASKED_3D), tile)
+    return _run_plan(q, k, v, block_plan(layout, InjectionConfig.MASKED_3D), TileConfig())
 
 
 def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
@@ -222,7 +222,7 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     Args:
         x_video: (B, F*N, model_dim) video stream, frame-major.
         c_audio: (B, F*L, model_dim) audio stream, frame-major.
-        layout: token layout; its others tokens take no part in the layer.
+        layout: token layout; one with others tokens is refused (no others stream).
         config: the wiring.
         weights: projections applied to queries, keys, values, and output.
 
@@ -251,6 +251,8 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     """
     axes = ("batch", "row", "channel")
     x_video, c_audio = check_tensor(x_video, "x_video", axes), check_tensor(c_audio, "c_audio", axes)
+    if layout.others_len:
+        raise ValueError(f"others_len={layout.others_len}: the layer has no others stream, so it takes no others tokens")
     f, n, l, c = layout.frames, layout.video_per_frame, layout.audio_per_frame, weights.model_dim
     if x_video.shape[1:] != (f * n, c):
         raise ValueError(f"x_video must be (B, {f * n}, {c}), got {x_video.shape}")

@@ -1,11 +1,37 @@
-"""Every exported name resolves: a stale ``__all__`` entry breaks ``import *``."""
+"""The public surface: every exported name resolves (a stale ``__all__`` entry
+breaks ``import *``), and every one that takes tensors checks each of them."""
 
 import importlib
+import inspect
+import os
 import pkgutil
+import re
 
+import numpy as np
 import pytest
 
 import syncattn
+from syncattn import (
+    AttnPartial,
+    InjectionConfig,
+    ProjectionSet,
+    TokenLayout,
+    apply_rope,
+    config_layer_forward,
+    euler_sample,
+    finite_diff_check,
+    flash_varlen_forward,
+    fm_loss,
+    interpolate,
+    masked3d_forward,
+    merge_partials,
+    naive_attention,
+    naive_backward,
+    seeded_projection_set,
+    seeded_random_tensor,
+    velocity_target,
+    write_golden,
+)
 
 # __main__ runs the CLI on import.
 MODULES = ["syncattn"] + [f"syncattn.{m.name}" for m in pkgutil.iter_modules(syncattn.__path__) if m.name != "__main__"]
@@ -35,3 +61,71 @@ def test_topology_calls_the_kernel_names_the_benchmark_wraps(name):
     from syncattn import kernel, topology
 
     assert getattr(topology, name) is getattr(kernel, name)
+
+
+def test_masked3d_forward_takes_only_what_it_uses():
+    # It runs the kernel's default tiles; other tiles are the kernel's own option.
+    assert list(inspect.signature(masked3d_forward).parameters) == ["q", "k", "v", "layout"]
+
+
+def _t(*dims, seed=0):
+    return seeded_random_tensor(dims, seed, np.float64)
+
+
+LAYOUT = TokenLayout(frames=2, video_per_frame=2, audio_per_frame=1)  # 6 packed tokens
+QKV = {name: _t(1, 1, 6, 6, seed=seed) for seed, name in enumerate("qkv")}  # D = 6, as apply_rope needs
+PARTIAL = AttnPartial(_t(1, 1, 6, 6), np.zeros((1, 1, 6)))
+EMPTY = AttnPartial(np.zeros((1, 1, 6, 6)), np.full((1, 1, 6), -np.inf))
+WEIGHTS = seeded_projection_set(4, 2, 0, np.float64)
+
+# Each public name that takes tensors: a call over its tensor arguments, and
+# valid values of them.  A velocity_fn stands for the array it returns.
+CONTRACT = {
+    "flash_varlen_forward": (lambda a: flash_varlen_forward(a["q"], a["k"], a["v"], [0, 6], [0, 6], out=a["out"]),
+                             {**QKV, "out": EMPTY}),
+    "merge_partials": (lambda a: merge_partials(**a), {"p1": PARTIAL, "p2": PARTIAL}),
+    "masked3d_forward": (lambda a: masked3d_forward(**a, layout=LAYOUT), QKV),
+    "config_layer_forward": (
+        lambda a: config_layer_forward(**a, layout=LAYOUT, config=InjectionConfig.MASKED_3D, weights=WEIGHTS),
+        {"x_video": _t(1, 4, 4), "c_audio": _t(1, 2, 4)}),
+    "ProjectionSet": (lambda a: ProjectionSet(**a, heads=2), {name: _t(4, 4) for name in ("wq", "wk", "wv", "wo")}),
+    "naive_attention": (lambda a: naive_attention(**a), QKV),
+    "naive_backward": (lambda a: naive_backward(**a), {**QKV, "dout": _t(1, 1, 6, 6)}),
+    "finite_diff_check": (lambda a: finite_diff_check(**a), QKV),
+    "apply_rope": (lambda a: apply_rope(**a, coords=np.zeros((6, 3), int)), {"tensor": QKV["q"]}),
+    "write_golden": (lambda a: write_golden(os.devnull, **a), {"tensor": QKV["q"]}),
+    "interpolate": (lambda a: interpolate(**a, t=0.5), {"x0": _t(2, 3), "x1": _t(2, 3)}),
+    "velocity_target": (lambda a: velocity_target(**a), {"x0": _t(2, 3), "x1": _t(2, 3)}),
+    "fm_loss": (lambda a: fm_loss(**a), {"pred": _t(2, 3), "x0": _t(2, 3), "x1": _t(2, 3)}),
+    "euler_sample": (lambda a: euler_sample(lambda x, t: a["velocity_fn"], a["x0"], 2),
+                     {"x0": _t(2, 3), "velocity_fn": _t(2, 3)}),
+}
+# Public names that take no tensor: types, layout arithmetic, seeded
+# builders and the golden reader.  AttnPartial is a plain pair, checked by
+# the entries that take one.
+NO_TENSORS = {"AttnPartial", "GoldenFileError", "InjectionConfig", "TileConfig", "TokenLayout", "assign_coords",
+              "build_mask", "diagonal_1d_equivalence", "per_frame_cu_seqlens", "read_golden",
+              "seeded_projection_set", "seeded_random_tensor", "segment_offsets"}
+CASES = [(entry, arg, field) for entry, (_, args) in sorted(CONTRACT.items()) for arg, value in args.items()
+         for field in (AttnPartial._fields if isinstance(value, AttnPartial) else (None,))]
+
+
+def _poisoned(value, field):
+    """A copy of ``value`` with a NaN in its last element, or in that of its ``field``."""
+    if field is not None:
+        return value._replace(**{field: _poisoned(getattr(value, field), None)})
+    bad = np.array(value, copy=True)
+    bad.flat[-1] = np.nan
+    return bad
+
+
+def test_contract_table_covers_every_public_name():
+    assert sorted(CONTRACT) == sorted(set(syncattn.__all__) - NO_TENSORS)
+
+
+@pytest.mark.parametrize("entry,arg,field", CASES, ids=[f"{e}-{a}{'.' + f if f else ''}" for e, a, f in CASES])
+def test_every_tensor_argument_is_checked(entry, arg, field):
+    call, args = CONTRACT[entry]
+    call(args)  # the valid arguments pass
+    with pytest.raises(ValueError, match=rf"\b{re.escape(arg)}\b.* has (a non-finite value|lse) nan"):
+        call({**args, arg: _poisoned(args[arg], field)})

@@ -147,3 +147,36 @@ class TestEulerSample:
         x0 = np.full((1, 1, 2, 2), 3e38, np.float32)
         with pytest.raises(ValueError, match=r"the Euler step left the float range of float32 \(overflow encountered in add\)"):
             euler_sample(lambda x, t: np.full_like(x, 3e38), x0, 1)
+
+
+class TestInputContract:
+    """Each tensor that enters the module passes core.check_tensor, at any rank."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: fm_loss(np.array([np.nan, 1.0]), np.zeros(2), np.ones(2)),
+         r"pred has a non-finite value nan at \(axis0\) \(0,\)"),
+        (lambda: velocity_target(np.zeros((2, 2)), np.array([[0.0, 1.0], [np.inf, 0.0]])),
+         r"x1 has a non-finite value inf at \(axis0, axis1\) \(1, 0\)"),
+        (lambda: euler_sample(lambda x, t: x, np.array([1.0, -np.inf]), 3),
+         r"x0 has a non-finite value -inf at \(axis0\) \(1,\)"),
+    ], ids=["fm_loss", "velocity_target", "euler_sample"])
+    def test_non_finite_input_named_by_index(self, call, message):
+        # tests/test_exports.py plants a NaN in every argument; these pin the index.
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_non_finite_velocity_named_by_its_call(self):
+        # The second step's velocity is the first bad one.
+        def vel(x, t):
+            return np.full_like(x, np.nan if t > 0 else 1.0)
+
+        with pytest.raises(ValueError, match=r"velocity_fn\(x, 0\.5\) has a non-finite value nan"):
+            euler_sample(vel, np.zeros(2), 2)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_other_precisions_rejected(self, dtype):
+        x = np.ones((2, 2), dtype)
+        for call in (lambda: interpolate(x, x, 0.5), lambda: velocity_target(x, x), lambda: fm_loss(x, x, x),
+                     lambda: euler_sample(lambda y, t: y, x, 1)):
+            with pytest.raises(ValueError, match="must be float32 or float64"):
+                call()

@@ -223,9 +223,10 @@ class TestMasked3dForward:
         assert np.max(np.abs(got - ref.out)) <= 1e-5
 
     def test_matches_oracle_f64_odd_tiles(self):
-        # The dense call runs the video and others rows as one block range,
-        # so the first three cases put a query block across the
-        # video/others boundary; the last three drop a segment each.
+        # masked3d_forward's plan, run at other tiles than its default.  The
+        # dense call runs the video and others rows as one block range, so
+        # the first three cases put a query block across the video/others
+        # boundary; the last three drop a segment each.
         cases = [
             (TokenLayout(frames=5, video_per_frame=7, audio_per_frame=3, others_len=11), TileConfig(16, 16)),
             (TokenLayout(frames=3, video_per_frame=5, audio_per_frame=2, others_len=7), TileConfig(4, 3)),
@@ -235,7 +236,7 @@ class TestMasked3dForward:
         ]
         for layout, tile in cases:
             q, k, v = _qkv(layout, 40, heads=1, head_dim=16, dtype=np.float64)
-            got = masked3d_forward(q, k, v, layout, tile)
+            got = topology._run_plan(q, k, v, block_plan(layout, InjectionConfig.MASKED_3D), tile)
             ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D))
             assert np.max(np.abs(got - ref.out)) <= 1e-12, (layout, tile)
 
@@ -273,9 +274,11 @@ class TestMasked3dForward:
     )
     def test_matches_oracle_on_random_layouts(self, frames, video, audio, others, heads, head_dim,
                                               q_block, k_block, seed):
+        # masked3d_forward's plan at random tiles.
         layout = TokenLayout(frames, video, audio, others)
         q, k, v = _qkv(layout, seed, heads=heads, head_dim=head_dim, dtype=np.float64)
-        got = masked3d_forward(q, k, v, layout, TileConfig(q_block, k_block))
+        plan = block_plan(layout, InjectionConfig.MASKED_3D)
+        got = topology._run_plan(q, k, v, plan, TileConfig(q_block, k_block))
         ref = naive_attention(q, k, v, build_mask(layout, InjectionConfig.MASKED_3D)).out
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
@@ -473,14 +476,14 @@ class TestConfigLayerForward:
         frames=st.integers(1, 3),
         video=st.integers(0, 4),
         audio=st.integers(0, 3),
-        others=st.integers(0, 3),
         batch=st.integers(1, 2),
         heads=st.integers(1, 2),
         head_dim=st.integers(1, 4),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_oracle_on_random_layouts(self, frames, video, audio, others, batch, heads, head_dim, seed):
-        layout = TokenLayout(frames, video, audio, others)
+    def test_matches_oracle_on_random_layouts(self, frames, video, audio, batch, heads, head_dim, seed):
+        # No others tokens: the layer refuses them (test_others_tokens_refused).
+        layout = TokenLayout(frames, video, audio)
         weights = seeded_projection_set(heads * head_dim, heads, seed, np.float64)
         xv, ca = self._streams(layout, heads * head_dim, seed + 1, np.float64, batch)
         outs = {}
@@ -534,8 +537,8 @@ class TestConfigLayerForward:
         self._check_oracle(out, xv, ca, layout, InjectionConfig.MASKED_3D, weights, tol)
 
     @pytest.mark.parametrize("layout,parts_2d", [
-        (TokenLayout(16, 256, 8, 256), 16),
-        (TokenLayout(256, 4, 8, 16), 12),
+        (TokenLayout(16, 256, 8), 16),
+        (TokenLayout(256, 4, 8), 12),
         (TokenLayout(3, 5, 2), 1),
         (TokenLayout(9, 60, 4), 2),
         (TokenLayout(2, 256, 8), 2),
@@ -543,6 +546,7 @@ class TestConfigLayerForward:
     def test_part_counts_at_benchmark_and_golden_layouts(self, layout, parts_2d, monkeypatch):
         # The 2D wirings run in parts of max(1, q_block // (N + L)) frames;
         # the 3D wirings, whose video rows see every frame, run as one part.
+        # The layer takes no others tokens, so the benchmark layouts drop theirs.
         plans = []
         monkeypatch.setattr(topology, "_run_plan", lambda q, k, v, plan, tile: plans.append(plan) or np.zeros_like(q))
         weights = seeded_projection_set(8, 1, 19)
@@ -555,14 +559,14 @@ class TestConfigLayerForward:
     @staticmethod
     def _check_oracle(out, xv, ca, layout, config, weights, tol):
         """Float64 projections of [video | audio], then naive attention under
-        the wiring's mask of the layout without others tokens."""
+        the wiring's mask of the layout."""
         stream = np.concatenate([xv, ca], axis=1).astype(np.float64)
         b, s, c = stream.shape
         h = weights.heads
         wq, wk, wv, wo = (np.asarray(w, np.float64) for w in (weights.wq, weights.wk, weights.wv, weights.wo))
         q, k, v = (np.ascontiguousarray((stream @ w).reshape(b, s, h, c // h).transpose(0, 2, 1, 3))
                    for w in (wq, wk, wv))
-        allow = build_mask(TokenLayout(layout.frames, layout.video_per_frame, layout.audio_per_frame), config)
+        allow = build_mask(layout, config)
         expected = naive_attention(q, k, v, allow).out.transpose(0, 2, 1, 3).reshape(b, s, c) @ wo
         v_out, a_out = out
         assert (v_out.shape, a_out.shape, v_out.dtype) == (xv.shape, ca.shape, xv.dtype)
@@ -573,12 +577,15 @@ class TestConfigLayerForward:
             assert np.max(np.abs(a_out - expected[:, layout.video_len :]), initial=0.0) <= tol
 
     @pytest.mark.parametrize("config", InjectionConfig, ids=lambda c: c.value)
-    def test_others_tokens_change_nothing(self, config):
+    def test_others_tokens_refused(self, config, monkeypatch):
+        # The layer has no others stream: the 2D plans never read others
+        # tokens, and the 3D wirings would need that stream, so a layout
+        # with others tokens is refused before any projection.
+        monkeypatch.setattr(topology, "_split_heads", None)  # a projection would raise TypeError
         weights = seeded_projection_set(8, 2, 3, np.float64)
         xv, ca = self._streams(TokenLayout(3, 4, 2), 8, 600, np.float64, b=2)
-        plain = config_layer_forward(xv, ca, TokenLayout(3, 4, 2, 0), config, weights)
-        with_others = config_layer_forward(xv, ca, TokenLayout(3, 4, 2, 5), config, weights)
-        assert [x.tobytes() for x in plain] == [x.tobytes() for x in with_others]
+        with pytest.raises(ValueError, match=r"others_len=5: the layer has no others stream"):
+            config_layer_forward(xv, ca, TokenLayout(3, 4, 2, 5), config, weights)
 
     @pytest.mark.parametrize("config", InjectionConfig, ids=lambda c: c.value)
     @pytest.mark.parametrize("n,l", [(0, 2), (4, 0)])
