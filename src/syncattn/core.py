@@ -137,15 +137,19 @@ def check_cu_seqlens(cu: np.ndarray, packed_len: int, name: str = "cu_seqlens") 
     return cu
 
 
-def check_tensor(x, name: str, axes: tuple[str, ...]) -> np.ndarray:
+def check_tensor(x, name: str, axes: tuple[str, ...], like: np.ndarray | None = None) -> np.ndarray:
     """``x`` as an array with one axis per name in ``axes``, a precision in
-    PRECISIONS and only finite values: the first NaN or inf, which would poison
-    every query row that sees it, is named by its index along ``axes``."""
+    PRECISIONS, the shape and precision of ``like`` (an already-checked tensor
+    that ``x`` pairs with) if given, and only finite values: the first NaN or
+    inf, which would poison every query row that sees it, is named by its
+    index along ``axes``."""
     x = np.asarray(x)
     if x.ndim != len(axes):
         raise ValueError(f"{name} must have {len(axes)} axes ({', '.join(axes)}), got {x.ndim}")
     if x.dtype not in PRECISIONS.values():
         raise ValueError(f"{name} must be {' or '.join(np.dtype(t).name for t in PRECISIONS.values())}, got {x.dtype}")
+    if like is not None and (x.shape != like.shape or x.dtype != like.dtype):
+        raise ValueError(f"{name} must be {like.shape} {like.dtype}, got {x.shape} {x.dtype}")
     # NaN and +-inf reach the min or the max, so two reductions find them
     # without a tensor-sized boolean mask; that is built on failure.
     if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
@@ -170,19 +174,17 @@ def float_range(dtype, what: str):
 def check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate one attention call's q, k, v; views are returned uncopied.
 
-    Each passes ``check_tensor`` along QKV_AXES; the three share one precision,
-    q and k share batch, heads and head_dim >= 1, and k and v share a shape.
+    Each passes ``check_tensor`` along QKV_AXES, v like k; q and k share a
+    precision, batch, heads and head_dim >= 1.
     """
-    q, k, v = check_tensor(q, "q", QKV_AXES), check_tensor(k, "k", QKV_AXES), check_tensor(v, "v", QKV_AXES)
-    if not (q.dtype == k.dtype == v.dtype):
-        raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype} v={v.dtype}")
+    q, k = check_tensor(q, "q", QKV_AXES), check_tensor(k, "k", QKV_AXES)
+    if q.dtype != k.dtype:
+        raise ValueError(f"precision mismatch: q={q.dtype} k={k.dtype}")
     if q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
         raise ValueError(f"q {q.shape} and k {k.shape} must share (batch, heads, head_dim)")
     if q.shape[3] < 1:
         raise ValueError(f"head_dim must be >= 1, got {q.shape[3]}")
-    if k.shape != v.shape:
-        raise ValueError(f"k {k.shape} and v {v.shape} must match")
-    return q, k, v
+    return q, k, check_tensor(v, "v", QKV_AXES, k)
 
 
 class AttnPartial(NamedTuple):

@@ -137,12 +137,12 @@ def _flash_group(q_grp, k_grp, v_grp, out, lse, tile: TileConfig) -> None:
     lse += np.log(l, out=l)
 
 
-def _check_partial(p, name: str) -> AttnPartial:
-    """``p`` as a partial of arrays: ``out`` passes check_tensor along QKV_AXES, and
-    ``lse``, of shape ``out.shape[:3]`` in out's precision, is finite, or -inf
-    for a row that saw no keys."""
+def _check_partial(p, name: str, like: np.ndarray | None) -> AttnPartial:
+    """``p`` as a partial of arrays: ``out`` passes check_tensor along QKV_AXES, like
+    ``like``, and ``lse``, of shape ``out.shape[:3]`` in out's precision, is
+    finite, or -inf for a row that saw no keys."""
     out, lse = p
-    out, lse = check_tensor(out, name, QKV_AXES), np.asarray(lse)
+    out, lse = check_tensor(out, name, QKV_AXES, like), np.asarray(lse)
     if lse.shape != out.shape[:3] or lse.dtype != out.dtype:
         raise ValueError(f"{name} arrays must be out (B, H, S_q, D) and lse (B, H, S_q) in one precision, "
                          f"got {out.shape} {out.dtype} and {lse.shape} {lse.dtype}")
@@ -174,11 +174,10 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
     """Merge two partials over disjoint key sets for the same queries into a fresh one.
 
     Each, any (out, lse) pair of array-likes, gets the check of
-    ``flash_varlen_forward``'s ``out``; the two must share shape and precision.
+    ``flash_varlen_forward``'s ``out``, p2 like p1.
     """
-    (o1, lse1), (o2, lse2) = _check_partial(p1, "p1"), _check_partial(p2, "p2")
-    if o1.shape != o2.shape or o1.dtype != o2.dtype:
-        raise ValueError(f"partials differ: out {o1.shape} {o1.dtype} vs {o2.shape} {o2.dtype}")
+    o1, lse1 = _check_partial(p1, "p1", None)
+    o2, lse2 = _check_partial(p2, "p2", o1)
     return _fold(AttnPartial(o1.copy(), lse1.copy()), AttnPartial(o2.copy(), lse2))
 
 
@@ -221,11 +220,10 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
     call is the one-group case, ``cu_q = [0, S_q]`` and ``cu_k = [0, S_k]``.
     Queries of a zero-key group get zero output and lse = -inf.
 
-    ``out``, if given, is an AttnPartial of arrays of shape (B, H, S_q, D) and
-    (B, H, S_q) in q's dtype, possibly strided views of larger arrays, checked
-    once here: finite rows, and an lse finite or -inf.  The call folds its keys
-    into it, bit for bit as ``merge_partials(out, fresh)`` would, and returns
-    it as is; a unit merging into rows that are not empty adds one unit-sized
+    ``out``, if given, is an AttnPartial of arrays, possibly strided views of
+    larger arrays, checked once here: finite rows like q, and an lse finite or
+    -inf.  The call folds its keys into it, bit for bit as
+    ``merge_partials(out, fresh)`` would, and returns it as is; a unit merging into rows that are not empty adds one unit-sized
     scratch partial, one at a time.  ``out=None`` is a fresh empty partial;
     anything else, a plain pair included, is refused, and so is an ``out``
     sharing memory with q, k or v, which later units still read, or whose
@@ -246,9 +244,8 @@ def flash_varlen_forward(q, k, v, cu_q, cu_k, tile: TileConfig = TileConfig(), o
         out = AttnPartial(np.zeros((b, h, s_q, d), q.dtype), np.full((b, h, s_q), -np.inf, q.dtype))
     elif not (isinstance(out, AttnPartial) and all(isinstance(a, np.ndarray) for a in out)):
         raise ValueError(f"out must be an AttnPartial of arrays to fold into, got {type(out).__name__}")
-    elif _check_partial(out, "out").out.shape != (b, h, s_q, d) or out.out.dtype != q.dtype:
-        raise ValueError(f"out arrays must be {(b, h, s_q, d)} {q.dtype}, got {out.out.shape} {out.out.dtype}")
     else:  # np.shares_memory is exact; arrays of disjoint bounds cost one comparison
+        _check_partial(out, "out", q)
         for name, x in (("q", q), ("k", k), ("v", v)):
             if np.shares_memory(out.out, x) or np.shares_memory(out.lse, x):
                 raise ValueError(f"out shares memory with {name}, which the call still reads while it writes out")

@@ -99,9 +99,7 @@ def naive_backward(q, k, v, dout, mask=None):
     Masked entries have P = 0 and therefore contribute nothing.
     """
     q, k, v = check_qkv(q, k, v)
-    dout = check_tensor(dout, "dout", QKV_AXES)
-    if dout.shape != q.shape:
-        raise ValueError(f"dout {dout.shape} must match the output shape {q.shape}")
+    dout = check_tensor(dout, "dout", QKV_AXES, q)  # the output's shape and precision
     b, h, s_q, d = q.shape
     s_k = k.shape[2]
     allow = _as_allow(mask, s_q, s_k)

@@ -169,8 +169,8 @@ def _run_plan(q, k, v, plan: list[Block], tile: TileConfig) -> np.ndarray:
 class ProjectionSet:
     """Query/key/value/output projection matrices for one attention layer.
 
-    Each matrix is (model_dim, model_dim), finite, and in the one precision,
-    float32 or float64, of all four: checked once here, not on every layer
+    wq is (model_dim, model_dim), float32 or float64, and wk, wv and wo are
+    checked like it; all four are finite: checked once here, not on every layer
     call.  ``heads`` splits model_dim into per-head slices of model_dim // heads.
     """
 
@@ -181,16 +181,15 @@ class ProjectionSet:
     heads: int
 
     def __post_init__(self) -> None:
-        names = ("wq", "wk", "wv", "wo")
-        mats = [check_tensor(getattr(self, name), name, ("row", "col")) for name in names]
-        c = mats[0].shape[0]
-        for name, w in zip(names, mats):
-            if w.shape != (c, c) or w.dtype != mats[0].dtype:
-                raise ValueError(f"{name} must be ({c}, {c}) in wq's precision {mats[0].dtype}, got {w.shape} {w.dtype}")
-            object.__setattr__(self, name, w)  # the checked array, also when built from nested lists
+        wq = check_tensor(self.wq, "wq", ("row", "col"))
+        if wq.shape[0] != wq.shape[1]:
+            raise ValueError(f"wq must be square, got {wq.shape}")
+        object.__setattr__(self, "wq", wq)  # the checked arrays, also when built from nested lists
+        for name in ("wk", "wv", "wo"):
+            object.__setattr__(self, name, check_tensor(getattr(self, name), name, ("row", "col"), wq))
         object.__setattr__(self, "heads", check_count(self.heads, "heads", 1))
-        if c % self.heads != 0:
-            raise ValueError(f"heads={self.heads} must divide model_dim={c}")
+        if self.model_dim % self.heads != 0:
+            raise ValueError(f"heads={self.heads} must divide model_dim={self.model_dim}")
 
     @property
     def model_dim(self) -> int:

@@ -1,5 +1,7 @@
 """Layout arithmetic, seeded generation, and golden-vector I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,21 @@ class TestCheckTensor:
         listed = check_tensor([[1.0, 2.0]], "x", ("row", "col"))
         assert isinstance(listed, np.ndarray) and listed.shape == (1, 2)
 
+    @pytest.mark.parametrize("shape,dtype", [((2, 3), np.float32), ((3, 2), np.float64), ((2, 2), np.float64)],
+                             ids=["precision", "shape", "both"])
+    def test_unlike_its_pair_rejected(self, shape, dtype):
+        like = np.zeros((2, 3), np.float64)
+        other = np.zeros(shape, dtype)
+        with pytest.raises(ValueError, match=rf"x must be \(2, 3\) float64, got {re.escape(str(shape))} "
+                                             rf"{np.dtype(dtype).name}$"):
+            check_tensor(other, "x", ("row", "col"), like)
+        assert check_tensor(like.tolist(), "x", ("row", "col"), like).dtype == np.float64
+
+    def test_pairing_checked_before_the_finite_scan(self):
+        # A tensor unlike its pair is refused as such, whatever it holds.
+        with pytest.raises(ValueError, match=r"x must be \(2,\) float64, got \(2,\) float32"):
+            check_tensor(np.array([np.nan, 1.0], np.float32), "x", ("axis0",), np.zeros(2))
+
 
 class TestCheckQkv:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -155,6 +172,12 @@ class TestCheckQkv:
         qkv[name][1, 2, 3, 0] = bad
         with pytest.raises(ValueError, match=rf"{name} has a non-finite value .* \(1, 2, 3, 0\)"):
             check_qkv(qkv["q"], qkv["k"], qkv["v"])
+
+    def test_v_checked_like_k(self):
+        # tests/test_exports.py gives v in the other precision; this pins the shape.
+        q, k = (seeded_random_tensor((2, 3, 5, 4), i, np.float64) for i in range(2))
+        with pytest.raises(ValueError, match=r"v must be \(2, 3, 5, 4\) float64, got \(2, 3, 6, 4\) float64"):
+            check_qkv(q, k, np.zeros((2, 3, 6, 4)))
 
     def test_finite_check_allocates_no_mask(self):
         # A reference-layout-sized tensor is scanned without a boolean mask

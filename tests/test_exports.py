@@ -129,3 +129,42 @@ def test_every_tensor_argument_is_checked(entry, arg, field):
     call(args)  # the valid arguments pass
     with pytest.raises(ValueError, match=rf"\b{re.escape(arg)}\b.* has (a non-finite value|lse) nan"):
         call({**args, arg: _poisoned(args[arg], field)})
+
+
+# Each tensor argument that pairs with another, per public name: a call runs
+# in one precision, so each given in the other precision is refused by name.
+PAIRED = {
+    "flash_varlen_forward": ["k", "v", "out"],
+    "merge_partials": ["p2"],
+    "masked3d_forward": ["k", "v"],
+    "naive_attention": ["k", "v"],
+    "naive_backward": ["k", "v", "dout"],
+    "config_layer_forward": ["c_audio"],
+    "ProjectionSet": ["wk"],
+    "interpolate": ["x1"],
+    "velocity_target": ["x1"],
+    "fm_loss": ["pred", "x1"],
+    "euler_sample": ["velocity_fn"],
+}
+PAIRED_CASES = [(entry, arg) for entry, args in sorted(PAIRED.items()) for arg in args]
+
+
+def _float32(value):
+    """``value`` in float32, each array of it if it is a partial."""
+    if isinstance(value, AttnPartial):
+        return AttnPartial(*(_float32(a) for a in value))
+    return np.asarray(value, np.float32)
+
+
+def test_precision_table_names_arguments_of_the_contract():
+    for entry, args in PAIRED.items():
+        assert set(args) <= set(CONTRACT[entry][1]), entry
+
+
+@pytest.mark.parametrize("entry,arg", PAIRED_CASES, ids=[f"{e}-{a}" for e, a in PAIRED_CASES])
+def test_every_paired_tensor_is_refused_in_the_other_precision(entry, arg):
+    call, args = CONTRACT[entry]
+    call(args)  # the valid float64 arguments pass
+    with pytest.raises(ValueError, match=rf"\b{re.escape(arg)}\b") as info:
+        call({**args, arg: _float32(args[arg])})
+    assert "float32" in str(info.value)

@@ -36,6 +36,21 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(x0, x1[:, :, :4], 0.5)
 
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_scalar_t_keeps_the_precision(self, dtype, scalar):
+        # A numpy scalar is not weak under NEP 50; t enters the arithmetic as a Python float.
+        x0, x1 = _pair(14, dtype)
+        got = interpolate(x0, x1, scalar(0.25))
+        assert got.dtype == dtype
+        assert np.array_equal(got, interpolate(x0, x1, float(scalar(0.25))))
+
+    @pytest.mark.parametrize("t", [np.array([0.5]), [0.5], np.full((1, 1), 0.5)], ids=["array", "list", "matrix"])
+    def test_non_scalar_t_rejected(self, t):
+        x0, x1 = _pair(15)
+        with pytest.raises(ValueError, match="t must be a scalar in"):
+            interpolate(x0, x1, t)
+
 
 class TestVelocityTarget:
     def test_identical_inputs_zero(self):

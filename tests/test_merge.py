@@ -195,7 +195,9 @@ class TestMergePartials:
         # Otherwise the result's precision would follow the argument order.
         p1 = _split_partials(*_qkv(51, (2, 3, 6, 8), (2, 3, 4, 8), first), [(0, 4)])[0]
         p2 = _split_partials(*_qkv(52, (2, 3, 6, 8), (2, 3, 5, 8), second), [(0, 5)])[0]
-        with pytest.raises(ValueError, match=rf"{np.dtype(first).name} .* {np.dtype(second).name}"):
+        # p2 is checked like p1.
+        with pytest.raises(ValueError, match=rf"p2 must be \(2, 3, 6, 8\) {np.dtype(first).name}, "
+                                             rf"got \(2, 3, 6, 8\) {np.dtype(second).name}"):
             merge_partials(p1, p2)
 
 

@@ -646,7 +646,18 @@ class TestConfigLayerForward:
         mats = {n: getattr(w, n).astype(np.float32 if n == odd else np.float64) for n in ("wq", "wk", "wv", "wo")}
         # The first matrix unlike wq is named: wk when wq is the odd one.
         named, want, got = ("wk", "float32", "float64") if odd == "wq" else (odd, "float64", "float32")
-        with pytest.raises(ValueError, match=rf"{named} must be \(8, 8\) in wq's precision {want}, got \(8, 8\) {got}"):
+        with pytest.raises(ValueError, match=rf"{named} must be \(8, 8\) {want}, got \(8, 8\) {got}"):
+            topology.ProjectionSet(**mats, heads=2)
+
+    @pytest.mark.parametrize("odd,message", [
+        ("wq", r"wq must be square, got \(8, 4\)"),
+        ("wv", r"wv must be \(8, 8\) float64, got \(8, 4\) float64"),
+    ])
+    def test_weight_shape_rejected_when_built(self, odd, message):
+        # wq sets the shape, square; the others are checked like it.
+        w = seeded_projection_set(8, 2, 8, np.float64)
+        mats = {n: getattr(w, n)[:, :4] if n == odd else getattr(w, n) for n in ("wq", "wk", "wv", "wo")}
+        with pytest.raises(ValueError, match=message):
             topology.ProjectionSet(**mats, heads=2)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.bool_], ids=["f16", "int", "bool"])
