@@ -39,7 +39,7 @@ def _add_layout_args(p: argparse.ArgumentParser) -> None:
 
 
 def _case_from_args(args, repeats: int = 3) -> BenchCase:
-    for flag, value, least in (("--batch", args.batch, 0), ("--heads", args.heads, 0),
+    for flag, value, least in (("--batch", args.batch, 1), ("--heads", args.heads, 1),
                                ("--head-dim", args.head_dim, 1), ("--seed", args.seed, 0),
                                ("--repeats", repeats, 3)):
         check_count(value, flag, least)

@@ -273,7 +273,8 @@ def read_golden(path) -> np.ndarray:
     """Read a golden-vector file back into a (B, H, S, D) tensor.
 
     Raises GoldenFileError on a malformed header, a word count that does
-    not match the declared dims, malformed hex words, or non-finite values.
+    not match the declared dims, malformed hex words, or a non-finite value,
+    which ``check_tensor`` names by its (batch, head, row, col).
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -306,7 +307,7 @@ def read_golden(path) -> np.ndarray:
         if not _HEX_DIGITS.issuperset(tok):
             raise GoldenFileError(f"{path}: word {i} is not hexadecimal: {tok!r}")
     words = np.frombuffer(bytes.fromhex("".join(tokens)), dtype.newbyteorder(">"))
-    data = words.astype(dtype).reshape(dims)
-    if not np.all(np.isfinite(data)):
-        raise GoldenFileError(f"{path}: non-finite value in data")
-    return data
+    try:
+        return check_tensor(words.astype(dtype).reshape(dims), "data", QKV_AXES)
+    except ValueError as exc:
+        raise GoldenFileError(f"{path}: {exc}") from None

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import QKV_AXES, TokenLayout, check_count, check_tensor, float_range, segment_offsets
+from .core import QKV_AXES, TokenLayout, check_count, check_tensor, float_range
 
 __all__ = ["apply_rope", "assign_coords", "diagonal_1d_equivalence"]
 
@@ -61,46 +61,26 @@ def assign_coords(layout: TokenLayout, video_grid: tuple[int, int]) -> np.ndarra
 
     Returns an int64 array of shape (layout.total_len, 3).
     """
-    rows, cols = video_grid
+    try:
+        rows, cols = video_grid
+    except (TypeError, ValueError):
+        raise ValueError(f"video_grid must be a (rows, cols) pair, got {video_grid!r}") from None
     if min(rows, cols) < 0 or rows * cols != layout.video_per_frame:
-        raise ValueError(
-            f"video_grid {video_grid} must be non-negative with {layout.video_per_frame} cells"
-        )
+        raise ValueError(f"video_grid {video_grid} must be non-negative with {layout.video_per_frame} cells")
     rows, cols = check_count(rows, "video_grid rows"), check_count(cols, "video_grid cols")
-    video, others, audio = segment_offsets(layout)
-    coords = np.zeros((layout.total_len, 3), dtype=np.int64)
-
-    if layout.video_len > 0:
-        idx = np.arange(layout.video_len)
-        within = idx % layout.video_per_frame
-        coords[video.start : video.stop, 0] = idx // layout.video_per_frame
-        coords[video.start : video.stop, 1] = within // cols
-        coords[video.start : video.stop, 2] = within % cols
-
-    if layout.others_len > 0:
-        ocols = cols if cols > 0 else layout.others_len
-        idx = np.arange(layout.others_len)
-        coords[others.start : others.stop, 0] = layout.frames
-        coords[others.start : others.stop, 1] = idx // ocols
-        coords[others.start : others.stop, 2] = idx % ocols
-
-    if layout.audio_len > 0:
-        idx = np.arange(layout.audio_len)
-        pos = idx % layout.audio_per_frame
-        coords[audio.start : audio.stop, 0] = idx // layout.audio_per_frame
-        coords[audio.start : audio.stop, 1] = pos
-        coords[audio.start : audio.stop, 2] = pos
-
-    return coords
+    others = np.arange(layout.others_len)
+    frame, n = np.indices((layout.frames, layout.audio_per_frame)).reshape(2, -1)
+    return np.concatenate([
+        np.column_stack(np.indices((layout.frames, rows, cols)).reshape(3, -1)),  # (frame, cell // cols, cell % cols)
+        np.column_stack([np.full_like(others, layout.frames), *np.divmod(others, cols or layout.others_len)]),
+        np.column_stack([frame, n, n]),
+    ])
 
 
 def _rotate_segment(seg64: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Paired-half rotation of the last axis; angles is (d/2,) or (tokens, d/2)."""
-    half = seg64.shape[-1] // 2
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    u1 = seg64[..., :half]
-    u2 = seg64[..., half:]
+    u1, u2 = np.split(seg64, 2, axis=-1)
+    cos, sin = np.cos(angles), np.sin(angles)
     return np.concatenate([u1 * cos - u2 * sin, u1 * sin + u2 * cos], axis=-1)
 
 
@@ -123,15 +103,12 @@ def apply_rope(tensor: np.ndarray, coords: np.ndarray) -> np.ndarray:
         raise ValueError(f"token count mismatch: tensor has {tensor.shape[2]}, coords {coords.shape[0]}")
 
     x64 = np.asarray(tensor, dtype=np.float64)
-    pieces = []
-    offset = 0
+    bounds = np.cumsum([0, *default_axis_split(tensor.shape[3])])
     with float_range(tensor.dtype, "the rotation"):
-        for axis, freqs in enumerate(frequencies(tensor.shape[3])):
-            d = 2 * freqs.size
-            angles = coords[:, axis, None].astype(np.float64) * freqs[None, :]
-            pieces.append(_rotate_segment(x64[..., offset : offset + d], angles))
-            offset += d
-        return np.concatenate(pieces, axis=-1).astype(tensor.dtype)
+        return np.concatenate([
+            _rotate_segment(x64[..., lo:hi], t[:, None] * freqs)
+            for t, lo, hi, freqs in zip(coords.T, bounds, bounds[1:], frequencies(tensor.shape[3]))
+        ], axis=-1).astype(tensor.dtype)
 
 
 def diagonal_1d_equivalence(
@@ -145,46 +122,34 @@ def diagonal_1d_equivalence(
     For tokens on the spatial diagonal, the (x, y) rotation rotates the
     same set of 2-planes, by the same angles, as a 1-D rotary embedding at
     position n whose frequency vector is concat(freqs_x, freqs_y) -- the
-    dimensions are merely indexed in a different order.  This check builds
-    that 1-D embedding, applies the fixed dimension permutation that
-    aligns its planes with the 2-D ones, and compares the attention scores
-    q . k produced by both schemes for random float64 vectors at random
-    diagonal positions over ``cases`` pairs; it passes when the returned
-    largest absolute deviation is <= DIAGONAL_TOL.
+    dimensions are merely indexed in a different order.  Over ``cases``
+    pairs of random float64 vectors at positions drawn from ``positions``
+    (integers >= 0), this check compares the attention score q . k of
+    ``apply_rope`` at coordinates (0, n, n) with that of the 1-D embedding;
+    it passes when the returned largest absolute deviation is <= DIAGONAL_TOL.
     """
     _, freqs_x, freqs_y = frequencies(head_dim)
-    cases = check_count(cases, "cases", 1)
+    cases, seed = check_count(cases, "cases", 1), check_count(seed, "seed")
+    positions = [check_count(n, "positions") for n in positions]
     check_count(len(positions), "the number of positions", 1)
-    d_xy = 2 * freqs_x.size  # default_axis_split gives d_x == d_y
-    half = d_xy // 2
     combined = np.concatenate([freqs_x, freqs_y])
 
     # 1-D plane i pairs (i, i + d_xy); map both ends onto the 2-D dims
-    # carrying the same frequency: x-plane (i, i + half) for i < half,
-    # then y-plane (d_xy + j, d_xy + j + half).
-    x_lo, y_lo = np.arange(half), d_xy + np.arange(half)
-    perm = np.concatenate([x_lo, y_lo, x_lo + half, y_lo + half])
-
-    def rot2d(vec: np.ndarray, n: int) -> np.ndarray:
-        x_part = _rotate_segment(vec[:d_xy], n * freqs_x)
-        y_part = _rotate_segment(vec[d_xy:], n * freqs_y)
-        return np.concatenate([x_part, y_part])
-
-    def rot1d(vec: np.ndarray, n: int) -> np.ndarray:
-        # rotate in the 1-D dimension order, then scatter back to the 2-D
-        # order so both schemes' scores sum their terms identically
-        natural = np.empty(2 * d_xy)
-        natural[perm] = _rotate_segment(vec[perm], n * combined)
-        return natural
+    # carrying the same frequency: x-plane (i, i + half) for i < half, then
+    # y-plane (d_xy + j, d_xy + j + half), past the unrotated t dims.  The
+    # 1-D rotation runs in its own order and is scattered back to the 2-D
+    # order, so both schemes' scores sum their terms identically.
+    half = freqs_x.size
+    x_lo = head_dim - 4 * half + np.arange(half)
+    perm = np.concatenate([x_lo, x_lo + 2 * half, x_lo + half, x_lo + 3 * half])
 
     gen = np.random.Generator(np.random.Philox(seed))
     max_dev = 0.0
     for _ in range(cases):
-        q = gen.standard_normal(2 * d_xy)
-        k = gen.standard_normal(2 * d_xy)
-        n_q = int(gen.choice(positions))
-        n_k = int(gen.choice(positions))
-        score_2d = float(rot2d(q, n_q) @ rot2d(k, n_k))
-        score_1d = float(rot1d(q, n_q) @ rot1d(k, n_k))
-        max_dev = max(max_dev, abs(score_2d - score_1d))
+        qk = gen.standard_normal((2, head_dim))  # a query and a key token
+        n = gen.choice(positions, size=2)[:, None]
+        q2d, k2d = apply_rope(qk[None, None], n * [0, 1, 1])[0, 0]
+        one_d = qk.copy()
+        one_d[:, perm] = _rotate_segment(qk[:, perm], n * combined)
+        max_dev = max(max_dev, abs(float(q2d @ k2d) - float(one_d[0] @ one_d[1])))
     return max_dev

@@ -22,8 +22,9 @@ CLI = [sys.executable, "-m", "syncattn"]
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Sizes that are not a tensor shape: a usage error (exit 2), not a tolerance breach.
+# A batch or heads of 0 would compare (or time) zero elements and pass.
 BAD_SIZES = [("--heads", "-1"), ("--head-dim", "-1"), ("--head-dim", "0"), ("--batch", "-1"),
-             ("--seed", "-1")]
+             ("--seed", "-1"), ("--batch", "0"), ("--heads", "0")]
 
 # A layout whose q, k and v exceed the generator's 2**40-element cap: a usage error too.
 HUGE_LAYOUT = ["--frames", str(2**40)]

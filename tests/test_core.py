@@ -242,10 +242,11 @@ class TestGoldenIO:
         assert back.tobytes() == tensor.tobytes()
 
     def test_nan_rejected(self, tmp_path):
+        # The first bad word is named by its (batch, head, row, col).
         path = tmp_path / "nan.gv"
         nan_word = f"{np.frombuffer(np.float32(np.nan).tobytes(), np.uint32)[0]:08x}"
-        path.write_text(f"GV1 1 1 1 1 f32\n{nan_word}\n")
-        with pytest.raises(GoldenFileError, match="non-finite"):
+        path.write_text(f"GV1 1 2 1 2 f32\n3f800000 3f800000 3f800000 {nan_word}\n")
+        with pytest.raises(GoldenFileError, match=r"non-finite value nan at \(batch, head, row, col\) \(0, 1, 0, 1\)"):
             read_golden(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):

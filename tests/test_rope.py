@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from syncattn import rope
+from syncattn.bench import measure_peak_bytes
 from syncattn.core import TokenLayout, seeded_random_tensor, segment_offsets
 from syncattn.rope import (
     DIAGONAL_TOL,
@@ -55,6 +57,10 @@ class TestAssignCoords:
         # (-2) * (-2) has the right cell count but would give negative coordinates.
         with pytest.raises(ValueError, match="non-negative"):
             assign_coords(layout, (-2, -2))
+        # A grid that is not a pair is refused by name, not by a failed unpacking.
+        for grid in (4, (2, 2, 1)):
+            with pytest.raises(ValueError, match=r"video_grid must be a \(rows, cols\) pair"):
+                assign_coords(layout, grid)
 
     @pytest.mark.parametrize("grid,cells", [((2.0, 2.0), 4), ((True, True), 1)])
     def test_non_integer_grid_rejected(self, grid, cells):
@@ -179,12 +185,18 @@ class TestDiagonal1dEquivalence:
         with pytest.raises(ValueError, match="head_dim must be an integer"):
             diagonal_1d_equivalence(16.0)
 
-    @pytest.mark.parametrize("cases,message", [(0, "cases must be >= 1"), (True, "cases must be an integer"),
-                                               (2.0, "cases must be an integer")], ids=["zero", "bool", "float"])
-    def test_bad_case_count_rejected(self, cases, message):
-        # cases=0 would return 0.0, a pass that checked nothing.
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"cases": 0}, "cases must be >= 1"), ({"cases": True}, "cases must be an integer"),
+        ({"cases": 2.0}, "cases must be an integer"), ({"positions": (0.5,)}, "positions must be an integer"),
+        ({"positions": ("3",)}, "positions must be an integer"), ({"positions": (1, -2)}, "positions must be >= 0"),
+        ({"seed": True}, "seed must be an integer"), ({"seed": 1.5}, "seed must be an integer"),
+    ], ids=["zero", "bool", "float", "position-fraction", "position-string", "position-negative",
+            "seed-bool", "seed-float"])
+    def test_bad_case_count_rejected(self, kwargs, message):
+        # cases=0 would return 0.0, a pass that checked nothing; a position
+        # of 0.5 would run at 0 and a seed of True as 1.
         with pytest.raises(ValueError, match=message):
-            diagonal_1d_equivalence(16, cases=cases)
+            diagonal_1d_equivalence(16, **kwargs)
 
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError, match="number of positions must be >= 1"):
@@ -194,3 +206,20 @@ class TestDiagonal1dEquivalence:
         dev = diagonal_1d_equivalence(32, cases=60)
         assert dev <= DIAGONAL_TOL
         assert dev <= 1e-6
+
+    def test_exact_at_every_head_dim(self):
+        for head_dim in range(6, 130, 2):
+            assert diagonal_1d_equivalence(head_dim) == 0.0, head_dim
+
+    def test_runs_the_shipped_rotation(self, monkeypatch):
+        # A check that compared two private copies of the rotation would
+        # still return 0.0 with apply_rope broken.
+        monkeypatch.setattr(rope, "apply_rope", lambda tensor, coords: tensor)
+        assert diagonal_1d_equivalence(16) > DIAGONAL_TOL
+
+    def test_far_positions_build_no_large_layout(self):
+        # Coordinates are built for the drawn positions only, not for a
+        # layout as long as the largest one.
+        dev, peak = measure_peak_bytes(lambda: diagonal_1d_equivalence(16, positions=(0, 10**9, 2**40)))
+        assert dev <= DIAGONAL_TOL
+        assert peak < 4 * 1024 * 1024, peak
