@@ -65,9 +65,10 @@ def assign_coords(layout: TokenLayout, video_grid: tuple[int, int]) -> np.ndarra
         rows, cols = video_grid
     except (TypeError, ValueError):
         raise ValueError(f"video_grid must be a (rows, cols) pair, got {video_grid!r}") from None
+    # Integers first, so a str or None entry is refused by name, not by a failed comparison.
+    rows, cols = check_count(rows, "video_grid rows", -np.inf), check_count(cols, "video_grid cols", -np.inf)
     if min(rows, cols) < 0 or rows * cols != layout.video_per_frame:
         raise ValueError(f"video_grid {video_grid} must be non-negative with {layout.video_per_frame} cells")
-    rows, cols = check_count(rows, "video_grid rows"), check_count(cols, "video_grid cols")
     others = np.arange(layout.others_len)
     frame, n = np.indices((layout.frames, layout.audio_per_frame)).reshape(2, -1)
     return np.concatenate([
@@ -132,6 +133,8 @@ def diagonal_1d_equivalence(
     cases, seed = check_count(cases, "cases", 1), check_count(seed, "seed")
     positions = [check_count(n, "positions") for n in positions]
     check_count(len(positions), "the number of positions", 1)
+    if max(positions) > np.iinfo(np.int64).max:  # apply_rope takes int64 coordinates
+        raise ValueError(f"positions must fit in int64, got {max(positions)}")
     combined = np.concatenate([freqs_x, freqs_y])
 
     # 1-D plane i pairs (i, i + d_xy); map both ends onto the 2-D dims

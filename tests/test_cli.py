@@ -165,11 +165,29 @@ class TestGolden:
             return flash_group(q_grp, k_grp, *args)
 
         monkeypatch.setattr(kernel, "_flash_group", recording)
-        for _, build in SUITES["units"]():
-            build()
+        for case in SUITES["units"].values():
+            for dtype in (np.float64, np.float32):
+                case(dtype)
         tall = {(264, 264), (300, 8), (300, 300)}  # (rows, keys): the layer, audio -> video, audio -> audio
         assert tall <= units
         assert all(rows > TileConfig().q_block and keys < TileConfig().k_block for rows, keys in tall)
+
+    def test_slices_suite_merges_row_slices(self, monkeypatch):
+        # Each 40-row video -> audio group (3 keys, R = 16 rows) runs as slices
+        # of 16, 16 and 8 rows, each folded into video rows that already hold
+        # the dense block's partial.
+        units, folds, flash_group, fold = [], [], kernel._flash_group, kernel._fold
+
+        def recording(q_grp, k_grp, *args):
+            units.append((q_grp.shape[1], k_grp.shape[1]))
+            return flash_group(q_grp, k_grp, *args)
+
+        monkeypatch.setattr(kernel, "_flash_group", recording)
+        monkeypatch.setattr(kernel, "_fold", lambda dest, part: folds.append(dest.out.shape[0]) or fold(dest, part))
+        SUITES["slices"]["merging"](np.float64)
+        slices = [16, 16, 8] * 4  # 2 frames x 2 heads; then audio -> audio, both frames one 2 x 3-row unit per head
+        assert [rows for rows, keys in units if keys == 3] == slices + [3, 3]
+        assert folds == slices + [6, 6]
 
     def test_corrupted_file_detected_and_named(self, tmp_path):
         run_cli("golden", "generate", "--path", str(tmp_path), "--suite", "flow")
@@ -192,6 +210,17 @@ class TestGolden:
         proc = run_cli("golden", "check", "--path", str(tmp_path), "--suite", "merge")
         assert proc.returncode == 1
         assert "missing" in proc.stdout
+
+    def test_stale_file_detected_and_named(self, tmp_path):
+        # A golden that no case produces, as after a case is dropped or
+        # renamed, would otherwise leave its bits silently unpinned.
+        run_cli("golden", "generate", "--path", str(tmp_path), "--suite", "flow")
+        stale = tmp_path / "flow" / "dropped_case_f64__out.gv"
+        stale.write_bytes((tmp_path / "flow" / "path_f64__mid.gv").read_bytes())
+        proc = run_cli("golden", "check", "--path", str(tmp_path), "--suite", "flow")
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines() == [f"MISMATCH flow/dropped_case_f64__out: stored golden file {stale} "
+                                            "that no case produces"]
 
     def test_unknown_suite_rejected(self, tmp_path):
         proc = run_cli("golden", "check", "--path", str(tmp_path), "--suite", "nope")

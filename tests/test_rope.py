@@ -61,6 +61,10 @@ class TestAssignCoords:
         for grid in (4, (2, 2, 1)):
             with pytest.raises(ValueError, match=r"video_grid must be a \(rows, cols\) pair"):
                 assign_coords(layout, grid)
+        # An entry that is not an integer is refused by name before any comparison.
+        for grid in (("2", 2), (None, 2)):
+            with pytest.raises(ValueError, match="video_grid rows must be an integer"):
+                assign_coords(layout, grid)
 
     @pytest.mark.parametrize("grid,cells", [((2.0, 2.0), 4), ((True, True), 1)])
     def test_non_integer_grid_rejected(self, grid, cells):
@@ -189,9 +193,10 @@ class TestDiagonal1dEquivalence:
         ({"cases": 0}, "cases must be >= 1"), ({"cases": True}, "cases must be an integer"),
         ({"cases": 2.0}, "cases must be an integer"), ({"positions": (0.5,)}, "positions must be an integer"),
         ({"positions": ("3",)}, "positions must be an integer"), ({"positions": (1, -2)}, "positions must be >= 0"),
+        ({"positions": (2**70,)}, "positions must fit in int64"),
         ({"seed": True}, "seed must be an integer"), ({"seed": 1.5}, "seed must be an integer"),
     ], ids=["zero", "bool", "float", "position-fraction", "position-string", "position-negative",
-            "seed-bool", "seed-float"])
+            "position-past-int64", "seed-bool", "seed-float"])
     def test_bad_case_count_rejected(self, kwargs, message):
         # cases=0 would return 0.0, a pass that checked nothing; a position
         # of 0.5 would run at 0 and a seed of True as 1.
