@@ -1,6 +1,7 @@
 """Command-line harness: validate, bench, and golden subcommands.
 
-Exit codes: 0 success, 1 tolerance breach or golden mismatch, 2 usage error.
+Exit codes: 0 success, 1 tolerance breach or golden mismatch, 2 usage error:
+a bad argument or an unwritable path, printed as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from .topology import InjectionConfig, build_mask, masked3d_forward
 
 # Validation tolerances per precision for the decomposed-vs-oracle diff.
 VALIDATE_TOL = {"f32": 1e-5, "f64": 1e-12}
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _add_layout_args(p: argparse.ArgumentParser) -> None:
@@ -69,11 +65,7 @@ def _row_segment(layout: TokenLayout, row: int) -> tuple[str, str]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        case = _case_from_args(args)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-
+    case = _case_from_args(args)
     q, k, v = make_inputs(case)
     decomposed = masked3d_forward(q, k, v, case.layout)
     oracle = naive_attention(q, k, v, build_mask(case.layout, InjectionConfig.MASKED_3D))
@@ -95,11 +87,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        case = _case_from_args(args, repeats=args.repeats)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-
+    case = _case_from_args(args, repeats=args.repeats)
     for impl in IMPLS if args.impl == "both" else [args.impl]:
         print(json.dumps(run_case(case, impl)))
     return 0
@@ -147,7 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # only argument checks and the file system raise in a command
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

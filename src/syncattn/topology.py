@@ -73,6 +73,9 @@ class InjectionConfig(Enum):
     MASKED_3D = "masked_3d"
 
 
+_SELF_ATTN = (InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
+
+
 class Block(NamedTuple):
     """Query rows and key columns of a plan block, split into groups.
 
@@ -94,7 +97,7 @@ def block_plan(layout: TokenLayout, config: InjectionConfig) -> list[Block]:
     SELF_ATTN_2D wirings are per frame video -> video, then MASKED_3D's
     three per-frame blocks; the frozen-audio wiring computes its audio rows
     too and drops them afterwards.  Blocks with no rows or no columns are
-    left out.
+    left out.  Any other value, a member's string included, raises ValueError.
     """
     video, others, audio = (slice(r.start, r.stop) for r in segment_offsets(layout))
     cu_n = per_frame_cu_seqlens(layout.video_per_frame, layout.frames)
@@ -108,8 +111,11 @@ def block_plan(layout: TokenLayout, config: InjectionConfig) -> list[Block]:
         blocks = [Block(vo, vo, dense, dense), *synced]
     elif config is InjectionConfig.CROSS_ATTN_2D:
         blocks = synced[:1]
-    else:  # both SELF_ATTN_2D wirings
+    elif config in _SELF_ATTN:
         blocks = [Block(video, video, cu_n, cu_n), *synced]
+    else:
+        members = ", ".join(c.name for c in InjectionConfig)
+        raise ValueError(f"config must be an InjectionConfig member ({members}), got {config!r}")
     return [blk for blk in blocks if blk.cu_q[-1] > 0 and blk.cu_k[-1] > 0]
 
 
@@ -222,7 +228,7 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
         x_video: (B, F*N, model_dim) video stream, frame-major.
         c_audio: (B, F*L, model_dim) audio stream, frame-major.
         layout: token layout; one with others tokens is refused (no others stream).
-        config: the wiring.
+        config: the wiring; a value that is not a member is refused before any projection.
         weights: projections applied to queries, keys, values, and output.
 
     One rule for every wiring, run over parts of whole frames: pack a
@@ -260,7 +266,7 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     if not x_video.dtype == c_audio.dtype == weights.wq.dtype:
         raise ValueError(f"x_video {x_video.dtype} and c_audio {c_audio.dtype} must be the projections' {weights.wq.dtype}")
     b, h, tile = x_video.shape[0], weights.heads, TileConfig()
-    fold = config in (InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO, InjectionConfig.SELF_ATTN_2D)
+    fold = config in _SELF_ATTN
     keep_audio = config not in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO)
     per_frame = (n + l, 0) if fold else (n, l)  # the plan's video and audio tokens per frame
     local = all(blk.cu_q.size == f + 1 for blk in block_plan(TokenLayout(f, *per_frame), config))  # one group per frame

@@ -222,6 +222,15 @@ class TestGolden:
         assert proc.stdout.splitlines() == [f"MISMATCH flow/dropped_case_f64__out: stored golden file {stale} "
                                             "that no case produces"]
 
+    def test_unwritable_path_is_usage_error(self, tmp_path):
+        # A path under a regular file: the file system's refusal, not a mismatch.
+        (tmp_path / "file").write_text("")
+        proc = run_cli("golden", "generate", "--path", str(tmp_path / "file" / "goldens"), "--suite", "flow")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
     def test_unknown_suite_rejected(self, tmp_path):
         proc = run_cli("golden", "check", "--path", str(tmp_path), "--suite", "nope")
         assert proc.returncode == 2

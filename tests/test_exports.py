@@ -1,11 +1,15 @@
 """The public surface: every exported name resolves (a stale ``__all__`` entry
-breaks ``import *``), and every one that takes tensors checks each of them."""
+breaks ``import *``), every one that takes tensors checks each of them, every
+one that takes a wiring takes only the five members, and nothing beyond numpy
+and the standard library is loaded."""
 
 import importlib
 import inspect
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ from syncattn import (
     velocity_target,
     write_golden,
 )
+from syncattn import topology
+from syncattn.topology import block_plan, build_mask
 
 # __main__ runs the CLI on import.
 MODULES = ["syncattn"] + [f"syncattn.{m.name}" for m in pkgutil.iter_modules(syncattn.__path__) if m.name != "__main__"]
@@ -43,6 +49,16 @@ def test_all_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     exec(f"from {name} import *", {})
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # In a fresh interpreter, every top-level module that the package and its
+    # CLI load beyond numpy's own is the package or the standard library.
+    code = ("import sys, numpy; before = set(sys.modules); import syncattn, syncattn.cli; "
+            "print(*sorted(m for m in set(sys.modules) - before if '.' not in m))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    assert "syncattn" in loaded
+    assert [m for m in loaded if m != "syncattn" and m not in sys.stdlib_module_names] == []
 
 
 @pytest.mark.parametrize("name", ["syncattn", "syncattn.kernel"])
@@ -168,3 +184,28 @@ def test_every_paired_tensor_is_refused_in_the_other_precision(entry, arg):
     with pytest.raises(ValueError, match=rf"\b{re.escape(arg)}\b") as info:
         call({**args, arg: _float32(args[arg])})
     assert "float32" in str(info.value)
+
+
+# Each public name that takes a wiring, as a call over it.  The wirings are
+# the five InjectionConfig members: anything else, a member's string
+# included, is refused by name, and by the layer before any projection.
+WIRING_CALLS = {
+    "block_plan": lambda config: block_plan(LAYOUT, config),
+    "build_mask": lambda config: build_mask(LAYOUT, config),
+    "config_layer_forward": lambda config: config_layer_forward(_t(1, 4, 4), _t(1, 2, 4), LAYOUT, config, WEIGHTS),
+}
+NOT_WIRINGS = ["full_3d", "masked_3d", None, 0]
+
+
+@pytest.mark.parametrize("config", NOT_WIRINGS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(WIRING_CALLS))
+def test_every_wiring_argument_is_a_member(entry, config, monkeypatch):
+    call = WIRING_CALLS[entry]
+    for member in InjectionConfig:
+        call(member)  # every member passes
+    reached = []
+    for name in ("_run_plan", "_split_heads"):  # the kernel and the projections
+        monkeypatch.setattr(topology, name, lambda *args, name=name: reached.append(name))
+    with pytest.raises(ValueError, match=rf"InjectionConfig member \(CROSS_ATTN_2D, .*\), got {re.escape(repr(config))}$"):
+        call(config)
+    assert reached == []
