@@ -181,17 +181,6 @@ def merge_partials(p1: AttnPartial, p2: AttnPartial) -> AttnPartial:
     return _fold(AttnPartial(o1.copy(), lse1.copy()), AttnPartial(o2.copy(), lse2))
 
 
-def flash_forward(q, k, v, tile: TileConfig = TileConfig()) -> AttnPartial:
-    """``flash_varlen_forward(q, k, v, [0, S_q], [0, S_k], tile)``, the dense call.
-
-    Not exported: the name is kept only because ``benchmark/spans.py`` traces
-    it through ``topology``, until the benchmark traces plan blocks instead.
-    """
-    # The varlen call's one check_qkv rejects other ranks before the bounds are read.
-    s_q, s_k = (np.shape(x)[2] if np.ndim(x) == 4 else 0 for x in (q, k))
-    return flash_varlen_forward(q, k, v, [0, s_q], [0, s_k], tile)
-
-
 def _stacks(cu_q, cu_k, d: int, tile: TileConfig) -> list[tuple[int, int, int, int, int]]:
     """Units of a varlen call as (q0, k0, S_q, S_k, G) under the module's one rule:
     adjacent groups of one (S_q, S_k) stack while whole groups fit in R rows, and a

@@ -48,8 +48,10 @@ from .core import (
     seeded_random_tensor,
     segment_offsets,
 )
-# Unused flash_forward and merge_partials stay only for benchmark/spans.py, which wraps them here (ROADMAP item 2).
-from .kernel import TileConfig, flash_forward, flash_varlen_forward, merge_partials  # noqa: F401
+from .kernel import TileConfig, flash_varlen_forward, merge_partials  # noqa: F401
+
+# benchmark/spans.py wraps this name, flash_varlen_forward and merge_partials here until ROADMAP item 2.
+flash_forward = flash_varlen_forward
 
 __all__ = [
     "Block",
@@ -111,7 +113,7 @@ def block_plan(layout: TokenLayout, config: InjectionConfig) -> list[Block]:
         blocks = [Block(vo, vo, dense, dense), *synced]
     elif config is InjectionConfig.CROSS_ATTN_2D:
         blocks = synced[:1]
-    elif config in _SELF_ATTN:
+    elif any(config is c for c in _SELF_ATTN):  # by identity: == lets an array or a permissive __eq__ in
         blocks = [Block(video, video, cu_n, cu_n), *synced]
     else:
         members = ", ".join(c.name for c in InjectionConfig)
@@ -266,8 +268,8 @@ def config_layer_forward(x_video, c_audio, layout: TokenLayout, config: Injectio
     if not x_video.dtype == c_audio.dtype == weights.wq.dtype:
         raise ValueError(f"x_video {x_video.dtype} and c_audio {c_audio.dtype} must be the projections' {weights.wq.dtype}")
     b, h, tile = x_video.shape[0], weights.heads, TileConfig()
-    fold = config in _SELF_ATTN
-    keep_audio = config not in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO)
+    fold = any(config is c for c in _SELF_ATTN)  # identity, as in block_plan, which refuses a non-member below
+    keep_audio = all(config is not c for c in (InjectionConfig.CROSS_ATTN_2D, InjectionConfig.SELF_ATTN_2D_FROZEN_AUDIO))
     per_frame = (n + l, 0) if fold else (n, l)  # the plan's video and audio tokens per frame
     local = all(blk.cu_q.size == f + 1 for blk in block_plan(TokenLayout(f, *per_frame), config))  # one group per frame
     fs = min(f, max(1, tile.q_block // max(n + l, 1))) if local else f  # frames per part; the last takes the rest

@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -67,16 +68,16 @@ def test_one_public_kernel_entry_point(name):
     module = importlib.import_module(name)
     assert {"flash_varlen_forward", "merge_partials"} <= set(module.__all__)
     assert "flash_forward" not in module.__all__
-    if name == "syncattn":
-        assert not hasattr(module, "flash_forward")
+    assert not hasattr(module, "flash_forward")
 
 
 @pytest.mark.parametrize("name", ["flash_forward", "flash_varlen_forward", "merge_partials"])
 def test_topology_calls_the_kernel_names_the_benchmark_wraps(name):
-    # benchmark/spans.py traces these names where syncattn.topology looks them up.
+    # benchmark/spans.py traces these names where syncattn.topology looks them up;
+    # the dense name is bound to the one entry, whose one-group case it is.
     from syncattn import kernel, topology
 
-    assert getattr(topology, name) is getattr(kernel, name)
+    assert getattr(topology, name) is getattr(kernel, "flash_varlen_forward" if name == "flash_forward" else name)
 
 
 def test_masked3d_forward_takes_only_what_it_uses():
@@ -188,13 +189,15 @@ def test_every_paired_tensor_is_refused_in_the_other_precision(entry, arg):
 
 # Each public name that takes a wiring, as a call over it.  The wirings are
 # the five InjectionConfig members: anything else, a member's string
-# included, is refused by name, and by the layer before any projection.
+# included, is refused by name, and by the layer before any projection.  A
+# value equal to everything and an array are refused too: a wiring matches by
+# identity, never by ==.
 WIRING_CALLS = {
     "block_plan": lambda config: block_plan(LAYOUT, config),
     "build_mask": lambda config: build_mask(LAYOUT, config),
     "config_layer_forward": lambda config: config_layer_forward(_t(1, 4, 4), _t(1, 2, 4), LAYOUT, config, WEIGHTS),
 }
-NOT_WIRINGS = ["full_3d", "masked_3d", None, 0]
+NOT_WIRINGS = ["full_3d", "masked_3d", None, 0, unittest.mock.ANY, np.array(["full_3d", "x"])]
 
 
 @pytest.mark.parametrize("config", NOT_WIRINGS, ids=repr)
