@@ -12,7 +12,6 @@ embeddings and flow-matching utilities round out the toolkit.
 
 from .core import (
     AttnPartial,
-    GoldenFileError,
     TokenLayout,
     per_frame_cu_seqlens,
     read_golden,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttnPartial",
-    "GoldenFileError",
     "InjectionConfig",
     "ProjectionSet",
     "TileConfig",

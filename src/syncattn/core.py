@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "AttnPartial",
-    "GoldenFileError",
     "PRECISIONS",
     "TokenLayout",
     "check_count",
@@ -51,10 +50,6 @@ QKV_AXES = ("batch", "head", "row", "col")
 # Hard cap on the flattened index space of generated tensors; anything
 # larger is a caller bug, not a workload this package supports.
 _MAX_ELEMENTS = 2**40
-
-
-class GoldenFileError(ValueError):
-    """Raised for malformed, non-finite, or shape-inconsistent golden files."""
 
 
 def check_count(value, name: str, least: int = 0) -> int:
@@ -120,10 +115,9 @@ def per_frame_cu_seqlens(count_per_frame: int, frames: int) -> np.ndarray:
 def check_cu_seqlens(cu: np.ndarray, packed_len: int, name: str = "cu_seqlens") -> np.ndarray:
     """Validate a cumulative-boundary vector against its packed length."""
     raw = np.asarray(cu)
-    # Only an integer or float array holds integer boundaries; a float beyond
-    # int64 casts to another value, which the comparison refuses.
-    with np.errstate(invalid="ignore"):
-        cu = raw.astype(np.int64) if raw.dtype.kind in "iuf" else None
+    # Only an integer array holds integer boundaries; a uint64 beyond int64
+    # casts to another value, which the comparison refuses.
+    cu = raw.astype(np.int64) if raw.dtype.kind in "iu" else None
     if cu is None or not np.array_equal(cu, raw):
         raise ValueError(f"{name} must hold integer boundaries, got {raw}")
     if cu.ndim != 1 or cu.size < 1:
@@ -272,42 +266,41 @@ def write_golden(path, tensor: np.ndarray) -> None:
 def read_golden(path) -> np.ndarray:
     """Read a golden-vector file back into a (B, H, S, D) tensor.
 
-    Raises GoldenFileError on a malformed header, a word count that does
-    not match the declared dims, malformed hex words, or a non-finite value,
-    which ``check_tensor`` names by its (batch, head, row, col).
+    Raises ValueError, its message prefixed by the path, on a malformed
+    header, a word count that does not match the declared dims, malformed hex
+    words, or a non-finite value, which ``check_tensor`` names by its
+    (batch, head, row, col).
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     lines = text.splitlines()
     if not lines:
-        raise GoldenFileError(f"{path}: empty file")
+        raise ValueError(f"{path}: empty file")
     header = lines[0].split()
     if len(header) != 6 or header[0] != "GV1":
-        raise GoldenFileError(f"{path}: malformed header {lines[0]!r}")
+        raise ValueError(f"{path}: malformed header {lines[0]!r}")
     try:
         dims = tuple(int(t) for t in header[1:5])
     except ValueError as exc:
-        raise GoldenFileError(f"{path}: non-integer dims in header") from exc
+        raise ValueError(f"{path}: non-integer dims in header") from exc
     if min(dims) < 0:
-        raise GoldenFileError(f"{path}: negative dims {dims} in header")
+        raise ValueError(f"{path}: negative dims {dims} in header")
     if header[5] not in PRECISIONS:
-        raise GoldenFileError(f"{path}: unknown precision {header[5]!r}")
+        raise ValueError(f"{path}: unknown precision {header[5]!r}")
     dtype = np.dtype(PRECISIONS[header[5]])
     width = 2 * dtype.itemsize
 
     tokens = " ".join(lines[1:]).split()
     expected = dims[0] * dims[1] * dims[2] * dims[3]
     if len(tokens) != expected:
-        raise GoldenFileError(
-            f"{path}: declared dims {dims} need {expected} words, found {len(tokens)}"
-        )
+        raise ValueError(f"{path}: declared dims {dims} need {expected} words, found {len(tokens)}")
     for i, tok in enumerate(tokens):
         if len(tok) != width:
-            raise GoldenFileError(f"{path}: word {i} has {len(tok)} hex chars, expected {width}")
+            raise ValueError(f"{path}: word {i} has {len(tok)} hex chars, expected {width}")
         if not _HEX_DIGITS.issuperset(tok):
-            raise GoldenFileError(f"{path}: word {i} is not hexadecimal: {tok!r}")
+            raise ValueError(f"{path}: word {i} is not hexadecimal: {tok!r}")
     words = np.frombuffer(bytes.fromhex("".join(tokens)), dtype.newbyteorder(">"))
     try:
         return check_tensor(words.astype(dtype).reshape(dims), "data", QKV_AXES)
     except ValueError as exc:
-        raise GoldenFileError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None

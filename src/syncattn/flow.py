@@ -29,8 +29,9 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
     and x1 at t=1."""
     x0 = _checked(x0, "x0")
     x1 = _checked(x1, "x1", x0)
-    if np.ndim(t) != 0 or not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be a scalar in [0, 1], got {t}")
+    # A bool, str, None or complex t is no real time, though some of them compare as one.
+    if np.asarray(t).dtype.kind not in "iuf" or np.ndim(t) != 0 or not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must be a scalar in [0, 1], got {t!r}")
     t = float(t)  # a numpy scalar is not weak (NEP 50): it would set the result's precision
     if t == 0.0:
         return np.array(x0, copy=True)

@@ -65,10 +65,9 @@ def assign_coords(layout: TokenLayout, video_grid: tuple[int, int]) -> np.ndarra
         rows, cols = video_grid
     except (TypeError, ValueError):
         raise ValueError(f"video_grid must be a (rows, cols) pair, got {video_grid!r}") from None
-    # Integers first, so a str or None entry is refused by name, not by a failed comparison.
-    rows, cols = check_count(rows, "video_grid rows", -np.inf), check_count(cols, "video_grid cols", -np.inf)
-    if min(rows, cols) < 0 or rows * cols != layout.video_per_frame:
-        raise ValueError(f"video_grid {video_grid} must be non-negative with {layout.video_per_frame} cells")
+    rows, cols = check_count(rows, "video_grid rows"), check_count(cols, "video_grid cols")
+    if rows * cols != layout.video_per_frame:
+        raise ValueError(f"video_grid {video_grid} must have {layout.video_per_frame} cells")
     others = np.arange(layout.others_len)
     frame, n = np.indices((layout.frames, layout.audio_per_frame)).reshape(2, -1)
     return np.concatenate([

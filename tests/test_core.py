@@ -7,7 +7,6 @@ import pytest
 
 from syncattn.bench import measure_peak_bytes
 from syncattn.core import (
-    GoldenFileError,
     TokenLayout,
     check_count,
     check_cu_seqlens,
@@ -246,19 +245,19 @@ class TestGoldenIO:
         path = tmp_path / "nan.gv"
         nan_word = f"{np.frombuffer(np.float32(np.nan).tobytes(), np.uint32)[0]:08x}"
         path.write_text(f"GV1 1 2 1 2 f32\n3f800000 3f800000 3f800000 {nan_word}\n")
-        with pytest.raises(GoldenFileError, match=r"non-finite value nan at \(batch, head, row, col\) \(0, 1, 0, 1\)"):
+        with pytest.raises(ValueError, match=r"non-finite value nan at \(batch, head, row, col\) \(0, 1, 0, 1\)"):
             read_golden(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.gv"
         path.write_text("GV1 1 1 2 2 f32\n3f800000 3f800000 3f800000\n")
-        with pytest.raises(GoldenFileError, match="words"):
+        with pytest.raises(ValueError, match="words"):
             read_golden(path)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.gv"
         path.write_text("GV2 1 1 1 1 f32\n3f800000\n")
-        with pytest.raises(GoldenFileError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             read_golden(path)
 
     @pytest.mark.parametrize("header", ["GV1 -1 1 1 1 f64", "GV1 -1 -1 1 1 f64"])
@@ -266,19 +265,19 @@ class TestGoldenIO:
         # (-1) * (-1) * 1 * 1 declares one word, and reshape would take -1 as "infer".
         path = tmp_path / "neg.gv"
         path.write_text(f"{header}\n3ff0000000000000\n")
-        with pytest.raises(GoldenFileError, match="negative dims"):
+        with pytest.raises(ValueError, match="negative dims"):
             read_golden(path)
 
     def test_wrong_word_width_rejected(self, tmp_path):
         path = tmp_path / "width.gv"
         path.write_text("GV1 1 1 1 1 f64\n3f800000\n")
-        with pytest.raises(GoldenFileError, match="hex chars"):
+        with pytest.raises(ValueError, match="hex chars"):
             read_golden(path)
 
     def test_non_hex_word_rejected(self, tmp_path):
         path = tmp_path / "hex.gv"
         path.write_text("GV1 1 1 1 1 f32\nzf800000\n")
-        with pytest.raises(GoldenFileError, match="hexadecimal"):
+        with pytest.raises(ValueError, match="hexadecimal"):
             read_golden(path)
 
     @pytest.mark.parametrize("word", ["0x3f8000", "+3f80000", "3f8_0000"])
@@ -286,5 +285,5 @@ class TestGoldenIO:
         # int(word, 16) would take a prefix, a sign or an underscore.
         path = tmp_path / "plain.gv"
         path.write_text(f"GV1 1 1 1 1 f32\n{word}\n")
-        with pytest.raises(GoldenFileError, match="not hexadecimal"):
+        with pytest.raises(ValueError, match="not hexadecimal"):
             read_golden(path)

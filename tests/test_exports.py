@@ -1,8 +1,10 @@
 """The public surface: every exported name resolves (a stale ``__all__`` entry
 breaks ``import *``), every one that takes tensors checks each of them, every
-one that takes a wiring takes only the five members, and nothing beyond numpy
-and the standard library is loaded."""
+one that takes a wiring takes only the five members, every refusal is a
+ValueError, nothing beyond numpy and the standard library is loaded, and only
+``core.float_range`` sets a numpy error state."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -11,6 +13,7 @@ import re
 import subprocess
 import sys
 import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from syncattn import (
     merge_partials,
     naive_attention,
     naive_backward,
+    read_golden,
     seeded_projection_set,
     seeded_random_tensor,
     velocity_target,
@@ -120,7 +124,7 @@ CONTRACT = {
 # Public names that take no tensor: types, layout arithmetic, seeded
 # builders and the golden reader.  AttnPartial is a plain pair, checked by
 # the entries that take one.
-NO_TENSORS = {"AttnPartial", "GoldenFileError", "InjectionConfig", "TileConfig", "TokenLayout", "assign_coords",
+NO_TENSORS = {"AttnPartial", "InjectionConfig", "TileConfig", "TokenLayout", "assign_coords",
               "build_mask", "diagonal_1d_equivalence", "per_frame_cu_seqlens", "read_golden",
               "seeded_projection_set", "seeded_random_tensor", "segment_offsets"}
 CASES = [(entry, arg, field) for entry, (_, args) in sorted(CONTRACT.items()) for arg, value in args.items()
@@ -212,3 +216,59 @@ def test_every_wiring_argument_is_a_member(entry, config, monkeypatch):
     with pytest.raises(ValueError, match=rf"InjectionConfig member \(CROSS_ATTN_2D, .*\), got {re.escape(repr(config))}$"):
         call(config)
     assert reached == []
+
+
+def _read_golden_text(tmp_path, text):
+    path = tmp_path / "bad.gv"
+    path.write_text(text)
+    return read_golden(path)
+
+
+# Refusals at the public entries that no other test reaches: a call, given a
+# scratch directory, and the message its ValueError must match.
+REFUSALS = {
+    "masked3d_forward-qkv-shape": (lambda tmp: masked3d_forward(QKV["q"], _t(1, 1, 7, 6), _t(1, 1, 7, 6), LAYOUT),
+                                   r"q/k/v must share one shape, got \(1, 1, 6, 6\) \(1, 1, 7, 6\)"),
+    "config_layer_forward-c_audio-batch": (
+        lambda tmp: config_layer_forward(_t(1, 4, 4), _t(2, 2, 4), LAYOUT, InjectionConfig.MASKED_3D, WEIGHTS),
+        r"c_audio must be \(1, 2, 4\), got \(2, 2, 4\)"),
+    "config_layer_forward-c_audio-rows": (
+        lambda tmp: config_layer_forward(_t(1, 4, 4), _t(1, 3, 4), LAYOUT, InjectionConfig.MASKED_3D, WEIGHTS),
+        r"c_audio must be \(1, 2, 4\), got \(1, 3, 4\)"),
+    "flash_varlen_forward-cu-2d": (lambda tmp: flash_varlen_forward(QKV["q"], QKV["k"], QKV["v"], [[0, 6]], [0, 6]),
+                                   r"cu_q must be a 1-D vector of at least one boundary"),
+    "flash_varlen_forward-cu-empty": (
+        lambda tmp: flash_varlen_forward(QKV["q"], QKV["k"], QKV["v"], np.zeros(0, np.int64), [0, 6]),
+        r"cu_q must be a 1-D vector of at least one boundary"),
+    "read_golden-empty": (lambda tmp: _read_golden_text(tmp, ""), r"bad\.gv: empty file$"),
+    "read_golden-dims": (lambda tmp: _read_golden_text(tmp, "GV1 1 x 1 1 f32\n3f800000\n"),
+                         r"bad\.gv: non-integer dims in header$"),
+    "read_golden-precision": (lambda tmp: _read_golden_text(tmp, "GV1 1 1 1 1 f16\n3c00\n"),
+                              r"bad\.gv: unknown precision 'f16'$"),
+    "apply_rope-coords": (lambda tmp: apply_rope(QKV["q"], np.zeros((6, 2), np.int64)),
+                          r"coords must be \(tokens, 3\), got \(6, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_message(case, tmp_path):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message) as info:
+        call(tmp_path)
+    assert type(info.value) is ValueError  # no subclass: callers tell refusals apart by message
+
+
+def test_float_range_is_the_only_numpy_error_state():
+    # An errstate elsewhere would be a second float rule beside float_range,
+    # so every use of the name in the package's source must sit inside it.
+    sites = []
+    for path in sorted(Path(syncattn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scope = {}  # node -> its innermost enclosing function; ast.walk visits outer functions first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(fn), fn.name))
+        sites += [(path.name, scope.get(node)) for node in ast.walk(tree)
+                  if "errstate" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                    getattr(node, "name", None), getattr(node, "value", None))]
+    assert sites == [("core.py", "float_range")]

@@ -1,5 +1,7 @@
 """Flow-matching path, loss, and Euler sampler."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,21 @@ class TestInterpolate:
         x0, x1 = _pair(15)
         with pytest.raises(ValueError, match="t must be a scalar in"):
             interpolate(x0, x1, t)
+
+    # A bool compares as 0 or 1 and would run as that time; a str, None or a
+    # complex would fail the comparison with a TypeError.
+    @pytest.mark.parametrize("t", [True, False, np.True_, np.array(True), "0.5", None, 0.5 + 0j, np.complex64(0.5)],
+                             ids=repr)
+    def test_non_real_t_rejected(self, t):
+        x0, x1 = _pair(16)
+        with pytest.raises(ValueError, match=rf"t must be a scalar in \[0, 1\], got {re.escape(repr(t))}$"):
+            interpolate(x0, x1, t)
+
+    @pytest.mark.parametrize("t,same", [(np.array(0.25), 0.25), (np.float32(0.5), 0.5), (np.int64(1), 1.0), (0, 0.0)],
+                             ids=repr)
+    def test_real_scalar_t_accepted(self, t, same):
+        x0, x1 = _pair(17)
+        assert np.array_equal(interpolate(x0, x1, t), interpolate(x0, x1, same))
 
 
 class TestVelocityTarget:

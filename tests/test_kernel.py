@@ -353,14 +353,22 @@ class TestFlashVarlen:
 
     def test_non_integer_boundaries_rejected(self):
         q, k, v = _qkv(43, (1, 1, 3, 8), (1, 1, 3, 8))
-        # A boundary past int64, a complex, object or bool array: refused by
-        # the same error, not by an OverflowError or a ComplexWarning.
-        for bad in ([0, 1.5, 3], [0, np.nan, 3], [0, np.inf, 3], [0, 2**70], np.array([0, 3 + 0j]),
-                    np.array([0, 3], object), [False, True]):
+        # A float array, even of whole numbers, a boundary past int64, a
+        # complex, object or bool array: refused by the same error, not by an
+        # OverflowError or a ComplexWarning.
+        for bad in ([0, 1.5, 3], [0, np.nan, 3], [0, np.inf, 3], [0, 2**70], np.array([0, 2**63], np.uint64),
+                    np.array([0, 3 + 0j]), np.array([0, 3], object), [False, True]):
             with pytest.raises(ValueError, match="integer boundaries"):
                 flash_varlen_forward(q, k, v, bad, bad)
-        whole = flash_varlen_forward(q, k, v, [0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
-        assert whole.out.tobytes() == flash_varlen_forward(q, k, v, [0, 1, 3], [0, 2, 3]).out.tobytes()
+        with pytest.raises(ValueError, match="cu_q must hold integer boundaries"):
+            flash_varlen_forward(q, k, v, [0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_every_integer_width_is_a_boundary(self, dtype):
+        q, k, v = _qkv(43, (1, 1, 3, 8), (1, 1, 3, 8))
+        got = flash_varlen_forward(q, k, v, np.array([0, 1, 3], dtype), np.array([0, 2, 3], dtype))
+        want = flash_varlen_forward(q, k, v, np.array([0, 1, 3], np.int64), np.array([0, 2, 3], np.int64))
+        assert got.out.tobytes() == want.out.tobytes() and got.lse.tobytes() == want.lse.tobytes()
 
     def test_boundary_validation(self):
         q, k, v = _qkv(41, (1, 1, 6, 8), (1, 1, 6, 8))

@@ -55,7 +55,7 @@ class TestAssignCoords:
         with pytest.raises(ValueError, match="video_grid"):
             assign_coords(layout, (1, 3))
         # (-2) * (-2) has the right cell count but would give negative coordinates.
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="video_grid rows must be >= 0, got -2"):
             assign_coords(layout, (-2, -2))
         # A grid that is not a pair is refused by name, not by a failed unpacking.
         for grid in (4, (2, 2, 1)):
